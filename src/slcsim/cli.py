@@ -4,6 +4,9 @@ Output layout is deliberately boring: a manifest written before any
 compute, one CSV per trajectory, one JSON with the ensemble fit, binary
 snapshots only when asked.  Identical (config, seed) pairs must produce
 identical bytes, so nothing here records wall-clock time or hostnames.
+
+Exit codes: 0 success, 1 a Picard window did not converge, 2 configuration
+or I/O error, 3 a trajectory hit a non-finite field, 4 a probe failed.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .fields import write_snapshot
 from .integrators import _SERIES_KEYS, TrajectoryRecord, run_trajectory
 
 WORKERS_ENV = "SLCSIM_WORKERS"
+EXIT_ITERATION_FAILED = 1
+EXIT_NUMERICAL_FAILURE = 3
+EXIT_PROBE_FAILED = 4
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +54,9 @@ def _load_config(args) -> SimConfig:
     return cfg
 
 
-def _workers() -> int:
+def _workers(trajectories: int) -> int:
+    """Worker processes for an ensemble: SLCSIM_WORKERS, capped at the
+    trajectory count and the CPU count."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         n = int(raw)
@@ -56,7 +64,16 @@ def _workers() -> int:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
     if n < 1:
         raise ConfigError(f"{WORKERS_ENV} must be >= 1")
-    return n
+    return min(n, trajectories, os.cpu_count() or 1)
+
+
+def _exit_code(records: list[TrajectoryRecord]) -> int:
+    statuses = {r.status for r in records}
+    if "numerical_failure" in statuses:
+        return EXIT_NUMERICAL_FAILURE
+    if "iteration_failed" in statuses:
+        return EXIT_ITERATION_FAILED
+    return 0
 
 
 def _write_manifest(out: Path, verb: str, cfg: SimConfig, outputs: list[str]) -> None:
@@ -136,7 +153,7 @@ def _cmd_run(args) -> int:
         json.dump(_traj_summary(rec), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"trajectory 0: {rec.status} ({rec.steps_completed} steps)")
-    return 1 if rec.status == "iteration_failed" else 0
+    return _exit_code([rec])
 
 
 def _cmd_ensemble(args) -> int:
@@ -146,7 +163,7 @@ def _cmd_ensemble(args) -> int:
     _write_manifest(out, "ensemble", cfg, names + ["summary.csv", "ensemble.json"])
 
     jobs = [(cfg, i) for i in range(cfg.trajectories)]
-    workers = _workers()
+    workers = _workers(cfg.trajectories)
     if workers == 1:
         records = [_run_one(j) for j in jobs]
     else:
@@ -186,7 +203,7 @@ def _cmd_ensemble(args) -> int:
         f"ensemble: {cfg.trajectories} trajectories, "
         f"C_growth={fit.c_growth:.6g}, blowups={blowups}"
     )
-    return 1 if any(r.status == "iteration_failed" for r in records) else 0
+    return _exit_code(records)
 
 
 def _cmd_probes(args) -> int:
@@ -196,8 +213,9 @@ def _cmd_probes(args) -> int:
     results = probe_suite(
         seed=cfg.seed, include_contraction=not args.skip_contraction, cfg=cfg
     )
+    all_passed = all(r.passed for r in results)
     payload = {
-        "all_passed": all(r.passed for r in results),
+        "all_passed": all_passed,
         "probes": [
             {
                 "name": r.name,
@@ -216,7 +234,7 @@ def _cmd_probes(args) -> int:
     for r in results:
         mark = "pass" if r.passed else "FAIL"
         print(f"{mark}  {r.name} = {r.value:.6g}  (allowed [{r.low:g}, {r.high:g}])")
-    return 0
+    return 0 if all_passed else EXIT_PROBE_FAILED
 
 
 def _cmd_describe_config(args) -> int:

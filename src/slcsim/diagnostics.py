@@ -1,4 +1,4 @@
-"""Numerically checkable structure: energy records, inequality probes, fits.
+"""Numerically checkable structure: energy functionals, inequality probes, fits.
 
 Everything here is post-hoc analysis on states or trajectory records.  The
 probes estimate the constants of interpolation/Lipschitz inequalities on
@@ -23,25 +23,20 @@ from .fields import (
     l2_norm,
     l4_norm,
     linf_norm,
-    spectral_summary,
     v_norm,
 )
 from .grid import Grid, build_grid, centered_gradient, cosine_transform
 from .grid import inverse_cosine_transform
-from .operators import b1, b2, ericksen_divergence, f_penalty, leray_project, m_term
+from .operators import b1, b2, drift, f_penalty, leray_project, m_term
 
 __all__ = [
-    "EnergyRecord",
     "EnsembleFit",
     "ProbeResult",
-    "energy_records",
     "max_principle_gap",
     "penalty_energy",
-    "energy_q",
     "psi_functional",
     "young_constant",
     "phi_rate",
-    "phi_increment",
     "lipschitz_probe_F",
     "remark_ratio",
     "gn_l4_ratio",
@@ -56,54 +51,6 @@ __all__ = [
     "contraction_slopes",
     "probe_suite",
 ]
-
-
-# ---------------------------------------------------------------------------
-# per-time energy record
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    """One row of the monitored energy/diagnostic quantities.
-
-    All entries are finite and nonnegative; phi_weight lies in (0, 1].
-    The last three columns are the dissipation channels of the balance law.
-    """
-
-    t: float
-    e_q: float
-    psi: float
-    phi_weight: float
-    max_gap: float
-    a_half_v: float
-    grad_d: float
-    lap_d: float
-
-    def __post_init__(self) -> None:
-        vals = (self.t, self.e_q, self.psi, self.phi_weight, self.max_gap,
-                self.a_half_v, self.grad_d, self.lap_d)
-        if not all(np.isfinite(v) and v >= 0.0 for v in vals):
-            raise ValueError("energy record entries must be finite and nonnegative")
-        if not 0.0 < self.phi_weight <= 1.0:
-            raise ValueError("phi_weight must lie in (0, 1]")
-
-
-def energy_records(traj) -> list[EnergyRecord]:
-    """Expand a trajectory record's series into typed rows."""
-    s = traj.series
-    return [
-        EnergyRecord(
-            t=float(traj.times[i]),
-            e_q=float(s["energy_q"][i]),
-            psi=float(s["psi"][i]),
-            phi_weight=float(s["phi_weight"][i]),
-            max_gap=float(s["max_gap"][i]),
-            a_half_v=float(s["a_half_v"][i]),
-            grad_d=float(s["grad_d"][i]),
-            lap_d=float(s["lap_d"][i]),
-        )
-        for i in range(len(traj.times))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +71,15 @@ def penalty_energy(grid: Grid, d: np.ndarray, eps: float) -> float:
     return float(np.sum(deficit * deficit) * grid.cell_volume / (4.0 * eps * eps))
 
 
-def energy_q(state: State, q: float) -> float:
-    """|v|^q + |d|^q + |grad d|^q in L2-based norms."""
-    if q < 2.0:
-        raise DomainError("energy exponent q must be >= 2")
-    return (
-        l2_norm(state.grid, state.v) ** q
-        + l2_norm(state.grid, state.d) ** q
-        + grad_seminorm(state.grid, state.d, "neumann") ** q
-    )
+def _director_laplacian(grid: Grid, d: np.ndarray) -> np.ndarray:
+    """Delta d with the continuum eigenvalue of each cosine mode."""
+    lam = grid.spectrum().neumann_eigenvalues
+    return inverse_cosine_transform(grid, -lam * cosine_transform(grid, d))
 
 
 def psi_functional(grid: Grid, d: np.ndarray, eps: float) -> float:
     """Squared residual |Delta d - f(d)|^2 with the Laplacian taken spectrally."""
-    lam = grid.spectrum().neumann_eigenvalues
-    lap = inverse_cosine_transform(grid, -lam * cosine_transform(grid, d))
-    resid = lap - f_penalty(d, eps)
+    resid = _director_laplacian(grid, d) - f_penalty(d, eps)
     return l2_norm(grid, resid) ** 2
 
 
@@ -170,26 +110,9 @@ def phi_rate(v_l2: float, a_half_v: float, n_dim: int, c_phi: float | None = Non
     return c_phi * v_l2**2 * a_half_v ** (2.0 * n_dim / (4.0 - n_dim))
 
 
-def phi_increment(state: State, dt: float, c_phi: float | None = None) -> float:
-    """One left-endpoint quadrature cell of the integral defining the weight."""
-    if dt < 0.0:
-        raise DomainError("dt must be nonnegative")
-    summ = spectral_summary(state)
-    return phi_rate(summ["l2_v"], summ["a_half_v"], state.grid.n_dim, c_phi) * dt
-
-
 # ---------------------------------------------------------------------------
 # inequality probes
 # ---------------------------------------------------------------------------
-
-def _full_drift(state: State, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    grid = state.grid
-    fv = leray_project(
-        grid, b1(grid, state.v, state.v) + ericksen_divergence(grid, state.d, state.d)
-    )
-    fd = b2(grid, state.v, state.d) + f_penalty(state.d, eps)
-    return fv, fd
-
 
 def lipschitz_probe_F(y1: State, y2: State, eps: float = 1.0) -> float:
     """Ratio of |F(y1)-F(y2)|_H to the two-term bracket with exponent n/4.
@@ -204,10 +127,12 @@ def lipschitz_probe_F(y1: State, y2: State, eps: float = 1.0) -> float:
     dv = v_norm(diff)
     if dv == 0.0 and l2_norm(grid, diff.d) == 0.0:
         raise DomainError("identical states give an undefined ratio")
-    fv1, fd1 = _full_drift(y1, eps)
-    fv2, fd2 = _full_drift(y2, eps)
+    # the drift without its Ito correction is -F, and F(y1) - F(y2) is the
+    # exact negation of the drift difference, so the norms agree bit for bit
+    dv1, dd1 = drift(grid, y1.v, y1.d, eps)
+    dv2, dd2 = drift(grid, y2.v, y2.d, eps)
     num = np.sqrt(
-        l2_norm(grid, fv1 - fv2) ** 2 + h_norm(grid, fd1 - fd2, 1, "neumann") ** 2
+        l2_norm(grid, dv1 - dv2) ** 2 + h_norm(grid, dd1 - dd2, 1, "neumann") ** 2
     )
     bracket = (
         v_norm(y1) ** (1.0 - a) * e_norm(y1) ** a
@@ -311,11 +236,6 @@ def random_probe_state(grid: Grid, seed: int, amplitude: float = 1.0) -> State:
 # duality gap and Richardson order
 # ---------------------------------------------------------------------------
 
-def _spectral_laplacian(grid: Grid, d: np.ndarray) -> np.ndarray:
-    lam = grid.spectrum().neumann_eigenvalues
-    return inverse_cosine_transform(grid, -lam * cosine_transform(grid, d))
-
-
 def duality_gap(grid: Grid, seed: int = 0, amplitude: float = 1.0) -> float:
     """|<B2(v,d), Delta d> - <m(d,d), v>| on one random smooth pair.
 
@@ -327,7 +247,7 @@ def duality_gap(grid: Grid, seed: int = 0, amplitude: float = 1.0) -> float:
         grid, random_smooth_vector(grid, seed, grid.n_dim, bc_kind="dirichlet", amplitude=amplitude)
     )
     d = random_smooth_vector(grid, seed + 101, 3, bc_kind="neumann", amplitude=amplitude)
-    lhs = float(np.sum(b2(grid, v, d) * _spectral_laplacian(grid, d)) * grid.cell_volume)
+    lhs = float(np.sum(b2(grid, v, d) * _director_laplacian(grid, d)) * grid.cell_volume)
     rhs = float(np.sum(m_term(grid, d, d) * v) * grid.cell_volume)
     return abs(lhs - rhs)
 
@@ -345,8 +265,8 @@ def duality_gap_mixed(grid: Grid, seed: int = 0, amplitude: float = 1.0) -> floa
     )
     d1 = random_smooth_vector(grid, seed + 101, 3, bc_kind="neumann", amplitude=amplitude)
     d2 = random_smooth_vector(grid, seed + 202, 3, bc_kind="neumann", amplitude=amplitude)
-    lhs = float(np.sum(b2(grid, v, d2) * _spectral_laplacian(grid, d1)) * grid.cell_volume)
-    lhs += float(np.sum(b2(grid, v, d1) * _spectral_laplacian(grid, d2)) * grid.cell_volume)
+    lhs = float(np.sum(b2(grid, v, d2) * _director_laplacian(grid, d1)) * grid.cell_volume)
+    lhs += float(np.sum(b2(grid, v, d1) * _director_laplacian(grid, d2)) * grid.cell_volume)
     rhs = float(
         np.sum((m_term(grid, d1, d2) + m_term(grid, d2, d1)) * v) * grid.cell_volume
     )

@@ -13,21 +13,16 @@ the continuum eigenvalues.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    build_grid,
-    cosine_transform,
-    sine_transform,
-)
+from .grid import Grid, cosine_transform, sine_transform
 
 __all__ = [
     "State",
-    "XtAccumulator",
     "l2_norm",
     "l4_norm",
     "linf_norm",
@@ -40,7 +35,6 @@ __all__ = [
     "v_norm",
     "e_norm",
     "spectral_summary",
-    "xt_update",
     "write_snapshot",
     "read_snapshot",
     "SnapshotMeta",
@@ -206,36 +200,6 @@ def spectral_summary(state: State) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# path-space norm accumulator
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class XtAccumulator:
-    """Running sup-V and time-integrated-E parts of the path-space norm.
-
-    The squared path norm over [0, t] is sup_s |y(s)|_V^2 + int_0^t |y|_E^2 ds,
-    accumulated by a left-endpoint rule.
-    """
-
-    sup_v_sq: float = 0.0
-    integral_e_sq: float = 0.0
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.sup_v_sq + self.integral_e_sq))
-
-
-def xt_update(acc: XtAccumulator, state: State, dt: float) -> XtAccumulator:
-    """Fold one sample into the accumulator (dt=0 updates only the sup part)."""
-    vn = v_norm(state)
-    en = e_norm(state)
-    return XtAccumulator(
-        sup_v_sq=max(acc.sup_v_sq, vn * vn),
-        integral_e_sq=acc.integral_e_sq + en * en * dt,
-    )
-
-
-# ---------------------------------------------------------------------------
 # binary snapshots
 # ---------------------------------------------------------------------------
 
@@ -275,23 +239,27 @@ def write_snapshot(path, grid: Grid, field: np.ndarray, time: float) -> None:
 
 
 def read_snapshot(path) -> tuple[SnapshotMeta, np.ndarray]:
+    """Read one SLCF file; ValueError for anything but a well-formed one."""
     with open(path, "rb") as f:
-        raw = f.read(_HEADER.size)
-        magic, version, n_dim, c0, c1, c2, l0, l1, l2, n_comp, time = _HEADER.unpack(raw)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"bad snapshot magic {magic!r}")
-        cells = tuple((c0, c1, c2)[:n_dim])
-        lengths = tuple((l0, l1, l2)[:n_dim])
-        meta = SnapshotMeta(version, n_dim, cells, lengths, n_comp, time)
-        count = int(np.prod(cells))
-        comps = []
-        for _ in range(n_comp):
-            buf = np.frombuffer(f.read(count * 8), dtype="<f8")
-            comps.append(buf.reshape(cells, order="F"))
-        field = np.stack(comps) if n_comp > 1 else comps[0]
+        raw = f.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"snapshot header needs {_HEADER.size} bytes, file has {len(raw)}")
+    magic, version, n_dim, c0, c1, c2, l0, l1, l2, n_comp, time = _HEADER.unpack_from(raw)
+    if magic != SNAPSHOT_MAGIC:
+        raise ValueError(f"bad snapshot magic {magic!r}")
+    if version != SNAPSHOT_VERSION:
+        raise ValueError(f"unsupported snapshot version {version}")
+    if n_dim not in (2, 3) or n_comp < 1:
+        raise ValueError(f"bad snapshot shape: n_dim {n_dim}, {n_comp} components")
+    cells = tuple((c0, c1, c2)[:n_dim])
+    lengths = tuple((l0, l1, l2)[:n_dim])
+    payload = n_comp * math.prod(cells) * 8
+    if len(raw) != _HEADER.size + payload:
+        raise ValueError(
+            f"snapshot payload is {len(raw) - _HEADER.size} bytes, expected {payload}"
+        )
+    meta = SnapshotMeta(version, n_dim, cells, lengths, n_comp, time)
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    comps = [block.reshape(cells, order="F") for block in np.split(data, n_comp)]
+    field = np.stack(comps) if n_comp > 1 else comps[0]
     return meta, field
-
-
-def snapshot_grid(meta: SnapshotMeta) -> Grid:
-    """Rebuild the grid a snapshot was taken on."""
-    return build_grid(meta.n_dim, meta.cells, meta.lengths)

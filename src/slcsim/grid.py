@@ -8,18 +8,17 @@ centers x_j = (j + 1/2) h.  Scalar fields come in two boundary flavors:
 * ``dirichlet`` -- zero boundary value, odd (antireflecting) ghost cells,
   diagonalized by the type-II sine transform.
 
-Two compatible families of difference operators are provided.  The
-face-offset pair ``gradient``/``divergence`` composes to the compact
-ghost-cell Laplacian exactly and satisfies summation by parts for fluxes
-that vanish on the boundary.  The centered pair ``centered_gradient``/
-``divergence(..., "dirichlet")`` is a mutually adjoint conservative pair
-(every centered divergence sums to exactly zero), which is what the
-pressure projection needs.
+The difference operators form one centered family.  ``centered_gradient``
+and ``divergence`` (antireflecting ghosts) are a mutually adjoint
+conservative pair: every divergence sums to exactly zero, and their
+composition acts on cosine modes as ``-projection_symbol``, which is what
+the pressure projection inverts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -32,10 +31,8 @@ __all__ = [
     "inverse_cosine_transform",
     "sine_transform",
     "inverse_sine_transform",
-    "gradient",
     "centered_gradient",
     "divergence",
-    "laplacian",
 ]
 
 _PARITY = {"neumann": 1.0, "dirichlet": -1.0}
@@ -47,17 +44,13 @@ class Spectrum:
 
     ``neumann_eigenvalues`` and ``dirichlet_eigenvalues`` are the continuum
     eigenvalues sum_i (k_i pi / L_i)^2 (cosine modes count from k=0, sine
-    modes from k=1); the ``*_symbol`` tables hold the compact
-    finite-difference symbols 2(1 - cos(k pi h / L)) / h^2, which are the
-    exact eigenvalues of the ghost-cell Laplacian matrices.
-    ``projection_symbol`` is the symbol of centered-divergence o
-    centered-gradient (the wide Laplacian) used by the pressure solve.
+    modes from k=1).  ``projection_symbol`` is the symbol of
+    centered-divergence o centered-gradient (the wide Laplacian) used by the
+    pressure solve.  The tables are read-only.
     """
 
     neumann_eigenvalues: np.ndarray
     dirichlet_eigenvalues: np.ndarray
-    neumann_symbol: np.ndarray
-    dirichlet_symbol: np.ndarray
     projection_symbol: np.ndarray
 
 
@@ -108,23 +101,8 @@ class Grid:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     def spectrum(self) -> Spectrum:
-        neu, diri, neu_sym, diri_sym, proj = [], [], [], [], []
-        for a in range(self.n_dim):
-            n, L, h = self.cells[a], self.lengths[a], self.spacings[a]
-            k_neu = np.arange(n)
-            k_dir = np.arange(n) + 1
-            neu.append((k_neu * np.pi / L) ** 2)
-            diri.append((k_dir * np.pi / L) ** 2)
-            neu_sym.append((2.0 - 2.0 * np.cos(k_neu * np.pi / n)) / h**2)
-            diri_sym.append((2.0 - 2.0 * np.cos(k_dir * np.pi / n)) / h**2)
-            proj.append((np.sin(k_neu * np.pi / n) / h) ** 2)
-        return Spectrum(
-            neumann_eigenvalues=_outer_sum(neu),
-            dirichlet_eigenvalues=_outer_sum(diri),
-            neumann_symbol=_outer_sum(neu_sym),
-            dirichlet_symbol=_outer_sum(diri_sym),
-            projection_symbol=_outer_sum(proj),
-        )
+        """The grid's eigenvalue tables, built once per grid and shared."""
+        return _spectrum(self)
 
 
 def build_grid(
@@ -134,10 +112,28 @@ def build_grid(
     return Grid(n_dim=n_dim, cells=tuple(cells), lengths=tuple(lengths))
 
 
+@lru_cache(maxsize=16)
+def _spectrum(grid: Grid) -> Spectrum:
+    neu, diri, proj = [], [], []
+    for a in range(grid.n_dim):
+        n, L, h = grid.cells[a], grid.lengths[a], grid.spacings[a]
+        k_neu = np.arange(n)
+        k_dir = np.arange(n) + 1
+        neu.append((k_neu * np.pi / L) ** 2)
+        diri.append((k_dir * np.pi / L) ** 2)
+        proj.append((np.sin(k_neu * np.pi / n) / h) ** 2)
+    return Spectrum(
+        neumann_eigenvalues=_outer_sum(neu),
+        dirichlet_eigenvalues=_outer_sum(diri),
+        projection_symbol=_outer_sum(proj),
+    )
+
+
 def _outer_sum(per_axis: list[np.ndarray]) -> np.ndarray:
     total = per_axis[0]
     for arr in per_axis[1:]:
         total = total[..., None] + arr
+    total.setflags(write=False)
     return total
 
 
@@ -185,14 +181,6 @@ def _ghost(arr: np.ndarray, ax: int, side: int, parity: float) -> np.ndarray:
     return parity * edge
 
 
-def forward_diff(grid: Grid, arr: np.ndarray, axis: int, bc_kind: str) -> np.ndarray:
-    """(u[j+1]-u[j])/h with the bc ghost at the far end; entry j sits at face j+1."""
-    parity = _PARITY[bc_kind]
-    ax = _axis_index(grid, arr, axis)
-    padded = np.concatenate([arr, _ghost(arr, ax, -1, parity)], axis=ax)
-    return np.diff(padded, axis=ax) / grid.spacings[axis]
-
-
 def centered_diff(grid: Grid, arr: np.ndarray, axis: int, parity: float) -> np.ndarray:
     """(u[j+1]-u[j-1])/2h with parity ghosts on both ends."""
     ax = _axis_index(grid, arr, axis)
@@ -204,11 +192,6 @@ def centered_diff(grid: Grid, arr: np.ndarray, axis: int, parity: float) -> np.n
     return (hi - lo) / (2.0 * grid.spacings[axis])
 
 
-def gradient(grid: Grid, u: np.ndarray, bc_kind: str) -> np.ndarray:
-    """Face-offset gradient of a scalar field; component i lives on i-faces."""
-    return np.stack([forward_diff(grid, u, a, bc_kind) for a in range(grid.n_dim)])
-
-
 def centered_gradient(grid: Grid, u: np.ndarray, bc_kind: str) -> np.ndarray:
     """Cell-centered gradient (the exact negative adjoint of the dirichlet divergence)."""
     parity = _PARITY[bc_kind]
@@ -216,39 +199,16 @@ def centered_gradient(grid: Grid, u: np.ndarray, bc_kind: str) -> np.ndarray:
 
 
 def divergence(grid: Grid, F: np.ndarray, bc_kind: str) -> np.ndarray:
-    """Discrete divergence of a vector field.
+    """Conservative centered divergence of a vector field with antireflection ghosts.
 
-    ``neumann``: backward differences with zero boundary flux, so that
-    divergence(gradient(u)) is exactly the compact Neumann Laplacian.
-    ``dirichlet``: conservative centered differences with antireflection
-    ghosts; the result sums to exactly zero for every input, which keeps the
-    singular pressure Poisson problem solvable.
+    The result sums to exactly zero for every input, which keeps the singular
+    pressure Poisson problem solvable.  ``dirichlet`` is the only flavor.
     """
+    if bc_kind != "dirichlet":
+        raise ValueError(f"unknown bc_kind {bc_kind!r}")
     if F.shape[0] != grid.n_dim:
         raise ValueError(f"expected {grid.n_dim} components, got {F.shape[0]}")
     out = np.zeros(F.shape[1:])
     for a in range(grid.n_dim):
-        comp = F[a]
-        if bc_kind == "neumann":
-            ax = _axis_index(grid, comp, a)
-            zero = np.zeros_like(np.take(comp, [0], axis=ax))
-            padded = np.concatenate([zero, comp], axis=ax)
-            out += np.diff(padded, axis=ax) / grid.spacings[a]
-        elif bc_kind == "dirichlet":
-            out += centered_diff(grid, comp, a, _PARITY["dirichlet"])
-        else:
-            raise ValueError(f"unknown bc_kind {bc_kind!r}")
-    return out
-
-
-def laplacian(grid: Grid, u: np.ndarray, bc_kind: str) -> np.ndarray:
-    """Compact ghost-cell Laplacian (u[j+1] - 2u[j] + u[j-1])/h^2 summed over axes."""
-    parity = _PARITY[bc_kind]
-    out = np.zeros_like(u)
-    for a in range(grid.n_dim):
-        ax = _axis_index(grid, u, a)
-        padded = np.concatenate(
-            [_ghost(u, ax, 0, parity), u, _ghost(u, ax, -1, parity)], axis=ax
-        )
-        out += np.diff(padded, n=2, axis=ax) / grid.spacings[a] ** 2
+        out += centered_diff(grid, F[a], a, _PARITY["dirichlet"])
     return out

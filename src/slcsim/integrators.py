@@ -12,7 +12,15 @@ recursion
 which reproduces left-endpoint Riemann/Ito convolution sums against the
 semigroup without the O(N^2) cost of assembling them directly.  The drift
 and diffusion entering a sweep are truncated by theta(|u|_{X_t} / radius)
-evaluated on the previous iterate's running path norm.
+evaluated on the previous iterate's running path norm.  Both schemes take
+the drift from :func:`slcsim.operators.drift` and the linear solves from
+the semigroups in :mod:`slcsim.operators`.
+
+``run_trajectory`` feeds the nodes of either scheme, one at a time, into a
+single per-node path (``_NodeLoop.advance``): the finite check, the phi
+integral, the stopping thresholds, the series rows, the snapshots and the
+advective CFL warning.  EM hands it each step; Picard hands it the nodes of
+each solved window in order.
 """
 
 from __future__ import annotations
@@ -23,26 +31,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SimConfig
+from .diagnostics import max_principle_gap, penalty_energy, phi_rate, psi_functional
 from .fields import State, spectral_summary
-from .grid import Grid, inverse_cosine_transform, inverse_sine_transform
-from .grid import cosine_transform, sine_transform
+from .grid import Grid
 from .noise import BrownianPath, sample_path
 from .operators import (
     OperatorCache,
-    assemble_L,
-    b2,
     director_noise_increment,
-    ericksen_divergence,
-    b1,
-    f_penalty,
+    drift,
     leray_project,
     semigroup_director,
+    semigroup_velocity_exact,
     semigroup_velocity_step,
     velocity_noise_increment,
 )
 
 __all__ = [
-    "TruncationParams",
     "StoppingRecord",
     "TrajectoryRecord",
     "WindowStats",
@@ -60,17 +64,6 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # truncation and stopping
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TruncationParams:
-    """Radius n of the cutoff theta_n(x) = theta(x/n)."""
-
-    radius: float = 1e6
-
-    def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise ValueError("truncation radius must be positive")
-
 
 def theta_cutoff(x: float, radius: float) -> float:
     """Piecewise-linear bump: 1 on [0, n], 0 on [2n, inf), slope -1/n between.
@@ -144,20 +137,6 @@ def initial_state(cfg: SimConfig, grid: Grid) -> State:
 # Euler-Maruyama
 # ---------------------------------------------------------------------------
 
-def _drift(cache: OperatorCache, cfg: SimConfig, v: np.ndarray, d: np.ndarray):
-    """(-F - L)(y), honoring the scenario toggles."""
-    grid = cache.grid
-    dv = None
-    if not cfg.freeze_velocity:
-        dv = -leray_project(grid, b1(grid, v, v) + ericksen_divergence(grid, d, d))
-    dd = -assemble_L(cache, d)  # +1/2 G^2(d), the Stratonovich-to-Ito correction
-    if cfg.enable_transport:
-        dd = dd - b2(grid, v, d)
-    if cfg.enable_penalty:
-        dd = dd - f_penalty(d, cache.eps)
-    return dv, dd
-
-
 def em_step(
     state: State,
     dt: float,
@@ -168,7 +147,9 @@ def em_step(
 ) -> State:
     """One explicit-drift, implicit-diffusion Euler-Maruyama step."""
     grid = state.grid
-    dv, dd = _drift(cache, cfg, state.v, state.d)
+    dv, dd = drift(grid, state.v, state.d, cache.eps, cache,
+                   velocity=not cfg.freeze_velocity, transport=cfg.enable_transport,
+                   penalty=cfg.enable_penalty)
     d_star = state.d + dt * dd + director_noise_increment(cache, state.d, dw2)
     d_new = (
         semigroup_director(grid, d_star, dt) if cfg.director_diffusion else d_star
@@ -194,15 +175,6 @@ class WindowStats:
     distances: tuple[float, ...]
     ratios: tuple[float, ...]
     min_theta: float = 1.0  # 1.0 means the cutoff never engaged
-
-
-def _propagate(cache: OperatorCache, v: np.ndarray, d: np.ndarray, exp_mu, exp_lam):
-    grid = cache.grid
-    v_new = leray_project(
-        grid, inverse_sine_transform(grid, sine_transform(grid, v) * exp_mu)
-    )
-    d_new = inverse_cosine_transform(grid, cosine_transform(grid, d) * exp_lam)
-    return v_new, d_new
 
 
 def _node_norms(states: list[State]) -> tuple[np.ndarray, np.ndarray]:
@@ -243,18 +215,16 @@ def picard_solve(
     """
     grid = cache.grid
     dt = path.dt
-    exp_mu = np.exp(-cache.mu * dt)
-    exp_lam = np.exp(-cache.lam * dt)
     radius = cfg.truncation_radius
 
     # zeroth iterate: free linear evolution of y0
     prev: list[State] = [y0]
     for j in range(n_window_steps):
-        v, d = _propagate(cache, prev[-1].v, prev[-1].d, exp_mu, exp_lam)
-        if cfg.freeze_velocity:
-            v = prev[-1].v
-        if not cfg.director_diffusion:
-            d = prev[-1].d
+        v, d = prev[-1].v, prev[-1].d
+        if not cfg.freeze_velocity:
+            v = semigroup_velocity_exact(grid, v, dt)
+        if cfg.director_diffusion:
+            d = semigroup_director(grid, d, dt)
         prev.append(State(grid, v, d, y0.t + (j + 1) * dt))
 
     distances: list[float] = []
@@ -273,19 +243,16 @@ def picard_solve(
             theta = theta_cutoff(float(xt_norms[j]), radius)
             min_theta = min(min_theta, theta)
             uj = prev[j]
-            dv, dd = _drift(cache, cfg, uj.v, uj.d)
+            dv, dd = drift(grid, uj.v, uj.d, cache.eps, cache,
+                           velocity=not cfg.freeze_velocity,
+                           transport=cfg.enable_transport, penalty=cfg.enable_penalty)
             dw1 = path.w1(start_step + j)
             dw2 = path.w2(start_step + j)
             d_star = (
                 cur[-1].d
                 + theta * (dt * dd + director_noise_increment(cache, uj.d, dw2))
             )
-            if cfg.director_diffusion:
-                d_new = inverse_cosine_transform(
-                    grid, cosine_transform(grid, d_star) * exp_lam
-                )
-            else:
-                d_new = d_star
+            d_new = semigroup_director(grid, d_star, dt) if cfg.director_diffusion else d_star
             if cfg.freeze_velocity:
                 v_new = cur[-1].v
             else:
@@ -293,10 +260,7 @@ def picard_solve(
                     cur[-1].v
                     + theta * (dt * dv + velocity_noise_increment(cache, uj.v, dw1))
                 )
-                v_new = leray_project(
-                    grid,
-                    inverse_sine_transform(grid, sine_transform(grid, v_star) * exp_mu),
-                )
+                v_new = semigroup_velocity_exact(grid, v_star, dt)
             cur.append(State(grid, v_new, d_new, uj.t + dt))
 
         dist = _xt_distance(cur, prev, dt)
@@ -362,8 +326,6 @@ _SERIES_KEYS = (
 
 def _record_row(state: State, summ: dict, cfg: SimConfig, cache: OperatorCache,
                 phi_weight: float) -> dict:
-    from .diagnostics import max_principle_gap, penalty_energy, psi_functional
-
     q = cfg.q
     row = dict(summ)
     row["energy_q"] = summ["l2_v"] ** q + summ["l2_d"] ** q + summ["grad_d"] ** q
@@ -378,6 +340,83 @@ def _record_row(state: State, summ: dict, cfg: SimConfig, cache: OperatorCache,
     return row
 
 
+class _NodeLoop:
+    """Per-node bookkeeping of one trajectory, shared by both schemes.
+
+    It starts from the initial state (recorded as the first row) and takes
+    the trajectory's nodes in order through ``advance``.
+    """
+
+    def __init__(self, cfg: SimConfig, cache: OperatorCache, path: BrownianPath,
+                 trajectory: int, snapshot_sink) -> None:
+        self.cfg = cfg
+        self.cache = cache
+        self.dt = path.dt
+        self.n_steps = path.n_steps
+        self.trajectory = trajectory
+        self.sink = snapshot_sink if cfg.save_snapshots and cfg.snapshot_every > 0 else None
+        self.state = initial_state(cfg, cache.grid)
+        self.stopping = StoppingRecord(thresholds=tuple(cfg.thresholds))
+        self.status = "completed"
+        self.steps = 0
+        self.phi_integral = 0.0
+        self.cfl_warned = False
+        self.times: list[float] = []
+        self.rows: list[dict] = []
+        summ = spectral_summary(self.state)
+        detect_tau(self.state, self.stopping, blowup=summ["blowup"])
+        self._record(self.state, summ)
+        self._snap(0, self.state)
+        self._check_cfl(self.state)
+
+    def advance(self, node: State) -> bool:
+        """Accept the node after the next step; False once the trajectory has ended.
+
+        The node always counts as a step and becomes the terminal state, even
+        when a field is non-finite (status numerical_failure).  Crossing the
+        last threshold ends the trajectory as stopped_at_tau, with its row
+        recorded off-cadence.  The advective CFL number is checked on every
+        node that another step starts from.
+        """
+        self.steps += 1
+        self.state = node
+        if not (np.all(np.isfinite(node.v)) and np.all(np.isfinite(node.d))):
+            self.status = "numerical_failure"
+            return False
+        summ = spectral_summary(node)
+        self.phi_integral += phi_rate(summ["l2_v"], summ["a_half_v"], node.grid.n_dim) * self.dt
+        detect_tau(node, self.stopping, blowup=summ["blowup"])
+        j = self.steps
+        if j % self.cfg.record_every == 0 or j == self.n_steps or self.stopping.halted:
+            self._record(node, summ)
+        self._snap(j, node)
+        if self.stopping.halted:
+            self.status = "stopped_at_tau"
+            return False
+        if j < self.n_steps:
+            self._check_cfl(node)
+        return True
+
+    def _record(self, state: State, summ: dict) -> None:
+        self.times.append(state.t)
+        self.rows.append(
+            _record_row(state, summ, self.cfg, self.cache, float(np.exp(-self.phi_integral)))
+        )
+
+    def _snap(self, j: int, state: State) -> None:
+        if self.sink is not None and j % self.cfg.snapshot_every == 0:
+            self.sink(j, state)
+
+    def _check_cfl(self, state: State) -> None:
+        if self.cfl_warned:
+            return
+        if self.dt * float(np.max(np.abs(state.v))) / min(state.grid.spacings) > 1.0:
+            log.warning(
+                "advective CFL exceeded at t=%.6g (trajectory %d)", state.t, self.trajectory
+            )
+            self.cfl_warned = True
+
+
 def run_trajectory(
     cfg: SimConfig,
     trajectory: int = 0,
@@ -390,8 +429,6 @@ def run_trajectory(
     snapshot_sink, when given, is called as sink(step_index, state) at the
     configured snapshot cadence (and for the initial state).
     """
-    from .diagnostics import phi_rate
-
     grid = cfg.grid()
     if cache is None:
         cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)
@@ -402,99 +439,32 @@ def run_trajectory(
     dt = path.dt
     n_steps = path.n_steps
 
-    state = initial_state(cfg, grid)
-    stopping = StoppingRecord(thresholds=tuple(cfg.thresholds))
-    status = "completed"
-    phi_integral = 0.0
-    cfl_warned = False
-
-    times: list[float] = []
-    rows: list[dict] = []
-
-    snap_every = cfg.snapshot_every if cfg.save_snapshots else 0
-
-    def snap(j: int, s: State) -> None:
-        if snapshot_sink is not None and snap_every > 0 and j % snap_every == 0:
-            snapshot_sink(j, s)
-
-    summ = spectral_summary(state)
-    detect_tau(state, stopping, blowup=summ["blowup"])
-    times.append(state.t)
-    rows.append(_record_row(state, summ, cfg, cache, 1.0))
-    snap(0, state)
-
-    def step_em(s: State, j: int) -> State:
-        return em_step(s, dt, path.w1(j), path.w2(j), cache, cfg)
-
-    steps_done = 0
+    loop = _NodeLoop(cfg, cache, path, trajectory, snapshot_sink)
     window_stats: list[WindowStats] = []
-
     if cfg.scheme == "picard":
         n_win = max(1, int(round(cfg.window / dt)))
-        j = 0
-        while j < n_steps and status == "completed" and not stopping.halted:
-            take = min(n_win, n_steps - j)
-            nodes, stats = picard_solve(cache, cfg, state, path, j, take)
+        while loop.steps < n_steps and loop.status == "completed" and not loop.stopping.halted:
+            take = min(n_win, n_steps - loop.steps)
+            nodes, stats = picard_solve(cache, cfg, loop.state, path, loop.steps, take)
             window_stats.append(stats)
-            if not stats.converged:
-                status = "iteration_failed"
-            for m, node in enumerate(nodes[1:], start=1):
-                jj = j + m
-                if not (np.all(np.isfinite(node.v)) and np.all(np.isfinite(node.d))):
-                    status = "numerical_failure"
-                    state = nodes[m - 1]
+            for node in nodes[1:]:
+                if not loop.advance(node):
                     break
-                summ = spectral_summary(node)
-                phi_integral += phi_rate(summ["l2_v"], summ["a_half_v"], grid.n_dim) * dt
-                detect_tau(node, stopping, blowup=summ["blowup"])
-                if jj % cfg.record_every == 0 or jj == n_steps or stopping.halted:
-                    times.append(node.t)
-                    rows.append(
-                        _record_row(node, summ, cfg, cache, float(np.exp(-phi_integral)))
-                    )
-                snap(jj, node)
-                state = node
-                steps_done = jj
-                if stopping.halted:
-                    status = "stopped_at_tau"
-                    break
-            if status == "iteration_failed":
-                break
-            j += take
+            if not stats.converged and loop.status == "completed":
+                loop.status = "iteration_failed"
     else:
         for j in range(n_steps):
-            if dt * float(np.max(np.abs(state.v))) / min(grid.spacings) > 1.0 and not cfl_warned:
-                log.warning(
-                    "advective CFL exceeded at t=%.6g (trajectory %d)", state.t, trajectory
-                )
-                cfl_warned = True
-            state = step_em(state, j)
-            steps_done = j + 1
-            if not (np.all(np.isfinite(state.v)) and np.all(np.isfinite(state.d))):
-                status = "numerical_failure"
-                break
-            summ = spectral_summary(state)
-            phi_integral += phi_rate(summ["l2_v"], summ["a_half_v"], grid.n_dim) * dt
-            detect_tau(state, stopping, blowup=summ["blowup"])
-            if stopping.halted:
-                status = "stopped_at_tau"
-            if (j + 1) % cfg.record_every == 0 or (j + 1) == n_steps or stopping.halted:
-                times.append(state.t)
-                rows.append(
-                    _record_row(state, summ, cfg, cache, float(np.exp(-phi_integral)))
-                )
-            snap(j + 1, state)
-            if stopping.halted:
+            if not loop.advance(em_step(loop.state, dt, path.w1(j), path.w2(j), cache, cfg)):
                 break
 
-    series = {k: np.array([r[k] for r in rows]) for k in _SERIES_KEYS}
+    series = {k: np.array([r[k] for r in loop.rows]) for k in _SERIES_KEYS}
     return TrajectoryRecord(
         trajectory=trajectory,
-        status=status,
-        times=np.array(times),
+        status=loop.status,
+        times=np.array(loop.times),
         series=series,
-        stopping=stopping,
-        steps_completed=steps_done,
-        terminal=state,
+        stopping=loop.stopping,
+        steps_completed=loop.steps,
+        terminal=loop.state,
         windows=window_stats,
     )

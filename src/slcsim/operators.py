@@ -39,6 +39,7 @@ __all__ = [
     "leray_project",
     "pressure_of",
     "semigroup_director",
+    "semigroup_velocity_exact",
     "semigroup_velocity_step",
     "b1",
     "b2",
@@ -47,8 +48,8 @@ __all__ = [
     "f_penalty",
     "g_cross",
     "g2_cross",
-    "assemble_F",
     "assemble_L",
+    "drift",
     "velocity_noise_increment",
     "director_noise_increment",
 ]
@@ -282,10 +283,6 @@ class NoiseCoefficientSpec:
             return 1.0
         return min(v_l2, self.clip)
 
-    def lipschitz_constant(self) -> float:
-        """Lipschitz constant of the gain in |v|: 0 for additive, 1 for clipped."""
-        return 0.0 if self.kind == "additive_trace_class" else 1.0
-
 
 def _mode_table(grid: Grid, count: int) -> list[tuple[float, tuple[int, ...], int]]:
     """First `count` (eigenvalue, wavenumbers, component) triples by eigenvalue."""
@@ -344,18 +341,11 @@ class OperatorCache:
         self.noise_fields = basis
         self.noise_mus = mus
         self.noise_weights = noise.sigma * (1.0 + mus) ** (-noise.decay_exponent)
-        spec = grid.spectrum()
-        self.lam = spec.neumann_eigenvalues
-        self.mu = spec.dirichlet_eigenvalues
 
     def hs_mass(self) -> float:
         """sigma^2 sum_j (1 + mu_j)^{1 - 2s} over the active modes."""
         s = self.noise.decay_exponent
         return float(self.noise.sigma**2 * np.sum((1.0 + self.noise_mus) ** (1.0 - 2.0 * s)))
-
-    def hs_mass_bound(self) -> float:
-        """ell_5 with J2-mass(v)^2 <= ell_5 (1 + |v|^2) for either noise kind."""
-        return self.hs_mass()
 
 
 def velocity_noise_increment(
@@ -374,14 +364,37 @@ def director_noise_increment(cache: OperatorCache, d: np.ndarray, dw2: float) ->
     return g_cross(d, cache.h_field) * dw2
 
 
-def assemble_F(cache: OperatorCache, v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drift nonlinearity F(y) = (Pi[b1(v,v) + div(grad d tensor grad d)]; b2(v,d) + f(d))."""
-    grid = cache.grid
-    fv = leray_project(grid, b1(grid, v, v) + ericksen_divergence(grid, d, d))
-    fd = b2(grid, v, d) + f_penalty(d, cache.eps)
-    return fv, fd
-
-
 def assemble_L(cache: OperatorCache, d: np.ndarray) -> np.ndarray:
     """Director part of L(y) = -1/2 G^2(d); the velocity part is zero."""
     return -0.5 * g2_cross(d, cache.h_field)
+
+
+def drift(
+    grid: Grid,
+    v: np.ndarray,
+    d: np.ndarray,
+    eps: float,
+    cache: OperatorCache | None = None,
+    *,
+    velocity: bool = True,
+    transport: bool = True,
+    penalty: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The drift (-F - L)(y) shared by every scheme, term by term.
+
+    F(y) = (Pi[b1(v,v) + div(grad d tensor grad d)]; b2(v,d) + f(d)) and
+    L(y) = (0; -1/2 G^2(d)).  ``cache`` supplies the magnetic field of the
+    Ito correction -L; without it the result is -F alone.  The toggles drop
+    the velocity drift (returned as None), the director transport and the
+    penalty.
+    """
+    dv = None
+    if velocity:
+        dv = -leray_project(grid, b1(grid, v, v) + ericksen_divergence(grid, d, d))
+    # +1/2 G^2(d), the Stratonovich-to-Ito correction, comes first
+    dd = -assemble_L(cache, d) if cache is not None else np.zeros_like(d)
+    if transport:
+        dd = dd - b2(grid, v, d)
+    if penalty:
+        dd = dd - f_penalty(d, eps)
+    return dv, dd

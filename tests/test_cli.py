@@ -2,22 +2,26 @@
 
 The CLI contract under test: manifests are written before compute, identical
 (config, seed) pairs produce identical bytes, worker parallelism never changes
-results, and every user error maps to exit code 2 instead of a traceback.
+results, every user error maps to exit code 2 instead of a traceback, and a
+non-finite trajectory (3) or a failed probe (4) shows in the exit code.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slcsim.cli
 from slcsim.cli import main
 from slcsim.config import SimConfig, default_config, parse_config, to_text, validate
+from slcsim.diagnostics import ProbeResult
 from slcsim.errors import ConfigError
-from slcsim.fields import read_snapshot, snapshot_grid
+from slcsim.fields import read_snapshot
 
 SERIES_KEYS = [
     "l2_v", "l2_d", "a_half_v", "a_v", "h2_d", "lap_d", "x1_d", "grad_d",
@@ -168,7 +172,7 @@ def test_run_writes_readable_snapshots_at_cadence(tmp_path):
     meta, field = read_snapshot(out / "trajectory_000000_step00000004_v.slcf")
     assert field.shape == (2, 16, 16)
     assert meta.time == pytest.approx(0.004)
-    assert snapshot_grid(meta).cells == (16, 16)
+    assert meta.cells == (16, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +212,19 @@ def test_ensemble_worker_count_never_changes_bytes(tmp_path, monkeypatch):
     assert _read_bytes(out_serial) == _read_bytes(out_par)
 
 
+def test_worker_count_is_capped_by_trajectories_and_cpus(monkeypatch):
+    # _workers only computes the count; no process is started here
+    monkeypatch.setattr(slcsim.cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("SLCSIM_WORKERS", "64")
+    assert slcsim.cli._workers(8) == 3
+    assert slcsim.cli._workers(2) == 2
+    monkeypatch.setenv("SLCSIM_WORKERS", "1")
+    assert slcsim.cli._workers(8) == 1
+    monkeypatch.setattr(slcsim.cli.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("SLCSIM_WORKERS", "4")
+    assert slcsim.cli._workers(8) == 1
+
+
 @pytest.mark.parametrize("raw", ["notanint", "0", "-3"])
 def test_ensemble_rejects_bad_worker_env(tmp_path, monkeypatch, capsys, raw):
     cfg_path = _write_config(tmp_path)
@@ -232,6 +249,53 @@ def test_probes_verb_reports_all_passed(tmp_path, capsys):
     for p in report["probes"]:
         assert isinstance(p["value"], float)
     assert "pass  duality_order" in capsys.readouterr().out
+
+
+def test_probes_verb_exits_four_when_a_probe_fails(tmp_path, monkeypatch, capsys):
+    def failing(**kwargs):
+        return [ProbeResult("b1_skew_symmetry", 2.0, 0.0, 1.0, False)]
+
+    monkeypatch.setattr(slcsim.cli, "probe_suite", failing)
+    out = tmp_path / "out"
+    assert main(["probes", "--skip-contraction", "--out", str(out)]) == 4
+    assert json.loads((out / "probes_report.json").read_text())["all_passed"] is False
+    assert "FAIL  b1_skew_symmetry" in capsys.readouterr().out
+
+
+UNSTABLE = """
+[grid]
+cells = 16 16
+lengths = 1.0 1.0
+
+[time]
+dt = 1.0
+horizon = 30.0
+
+[velocity_noise]
+mode_count = 8
+
+[initial]
+velocity_amplitude = 10000.0
+
+[stopping]
+thresholds = inf
+"""
+
+
+def test_non_finite_trajectories_exit_three(tmp_path):
+    # explicit advection at amplitude 1e4 with dt = 1 overflows within ~10 steps
+    cfg_path = _write_config(tmp_path, UNSTABLE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with np.errstate(all="ignore"):
+            code_run = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+            code_ens = main(["ensemble", "--config", str(cfg_path), "--trajectories", "2",
+                             "--out", str(tmp_path / "e")])
+    assert code_run == 3
+    assert json.loads((tmp_path / "r" / "run.json").read_text())["status"] == "numerical_failure"
+    assert code_ens == 3
+    report = json.loads((tmp_path / "e" / "ensemble.json").read_text())
+    assert report["statuses"] == ["numerical_failure"]
 
 
 def test_describe_config_output_parses_back(capsys):

@@ -1,5 +1,6 @@
-"""Diagnostics tests: pointwise functionals, sharp constants, inequality
-probes, duality refinement, and the ensemble growth fit.
+"""Diagnostics tests: pointwise functionals, the recorded energy series,
+sharp constants, inequality probes, duality refinement, and the ensemble
+growth fit.
 
 Frozen values use fields whose norms are dyadic-exact at cell centers
 (uniform directors, unit boxes) so the expected numbers are closed-form.
@@ -7,32 +8,27 @@ Frozen values use fields whose norms are dyadic-exact at cell centers
 
 from __future__ import annotations
 
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from slcsim.config import SimConfig
+from slcsim.config import SimConfig, validate
 from slcsim.errors import ConfigError, DomainError
-from slcsim.fields import State, l2_norm, spectral_summary
+from slcsim.fields import grad_seminorm, l2_norm, spectral_summary
 from slcsim.grid import build_grid, cosine_transform, inverse_cosine_transform
-from slcsim.integrators import run_trajectory
+from slcsim.integrators import initial_state, run_trajectory
 from slcsim.operators import b2, leray_project, m_term
 from slcsim.diagnostics import (
-    EnergyRecord,
     contraction_slopes,
     duality_gap,
     duality_gap_mixed,
-    energy_q,
-    energy_records,
     ensemble_energy_bound,
     gn_l4_ratio,
     gn_linf_ratio,
     lipschitz_probe_F,
     max_principle_gap,
     penalty_energy,
-    phi_increment,
     phi_rate,
     probe_suite,
     psi_functional,
@@ -78,19 +74,35 @@ def test_penalty_energy_frozen_values_and_domain():
             penalty_energy(G16, d, bad)
 
 
+def _small_cfg(**overrides) -> SimConfig:
+    base = dict(n_dim=2, cells=(16, 16), lengths=(1.0, 1.0),
+                dt=1e-3, horizon=5e-3, mode_count=8)
+    base.update(overrides)
+    return SimConfig(**base)
+
+
 def test_energy_q_frozen_values_and_domain():
-    state = State(G16, np.zeros((2, 16, 16)), _uniform_director(G16, (0.0, 0.0, 0.5)), 0.0)
-    assert energy_q(state, 2.0) == pytest.approx(0.25, rel=1e-13)
-    assert energy_q(state, 4.0) == pytest.approx(0.0625, rel=1e-13)
-    with pytest.raises(DomainError):
-        energy_q(state, 1.5)
+    # the recorded series at t = 0: v = 0 and a uniform |d| = 1/2 director
+    cfg = _small_cfg(velocity_profile="zero", director_profile="uniform",
+                     director_amplitude=0.5, horizon=1e-3)
+    assert run_trajectory(cfg).series["energy_q"][0] == pytest.approx(0.25, rel=1e-13)
+    quartic = _small_cfg(velocity_profile="zero", director_profile="uniform",
+                         director_amplitude=0.5, horizon=1e-3, q=4.0)
+    assert run_trajectory(quartic).series["energy_q"][0] == pytest.approx(0.0625, rel=1e-13)
+    with pytest.raises(ConfigError):
+        validate(_small_cfg(q=1.5))
 
 
 def test_energy_q_matches_spectral_summary_composition():
-    state = random_probe_state(G32, seed=9)
-    summ = spectral_summary(state)
-    expected = summ["l2_v"] ** 2 + summ["l2_d"] ** 2 + summ["grad_d"] ** 2
-    assert energy_q(state, 2.0) == pytest.approx(expected, rel=1e-12)
+    # the spectral row against the pointwise L2 norm and the gradient seminorm
+    cfg = _small_cfg(horizon=1e-3)
+    state = initial_state(cfg, cfg.grid())
+    expected = (
+        l2_norm(state.grid, state.v) ** 2
+        + l2_norm(state.grid, state.d) ** 2
+        + grad_seminorm(state.grid, state.d, "neumann") ** 2
+    )
+    assert run_trajectory(cfg).series["energy_q"][0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_psi_functional_frozen_values():
@@ -147,17 +159,20 @@ def test_phi_rate_two_dimensional_closed_form():
 def test_phi_rate_singular_dimension_and_negative_dt():
     with pytest.raises(DomainError):
         phi_rate(1.0, 1.0, 4)
-    state = random_probe_state(G16, seed=2)
-    with pytest.raises(DomainError):
-        phi_increment(state, -1e-3)
+    # the weight integral only ever sees the configured dt, which must be positive
+    with pytest.raises(ConfigError):
+        validate(_small_cfg(dt=-1e-3))
 
 
 def test_phi_increment_is_rate_times_dt():
-    state = random_probe_state(G16, seed=2)
-    summ = spectral_summary(state)
+    # one step: the recorded weight is exp(-rate * dt) at the new node
+    cfg = _small_cfg(horizon=1e-3)
+    rec = run_trajectory(cfg)
+    summ = spectral_summary(rec.terminal)
     rate = phi_rate(summ["l2_v"], summ["a_half_v"], 2)
-    assert phi_increment(state, 1e-3) == pytest.approx(rate * 1e-3, rel=1e-12)
-    assert phi_increment(state, 0.0) == 0.0
+    assert rate > 0.0
+    assert rec.series["phi_weight"][0] == 1.0
+    assert rec.series["phi_weight"][1] == pytest.approx(np.exp(-rate * cfg.dt), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -271,32 +286,12 @@ def test_richardson_order_recovers_exact_power_laws():
 # energy records and the ensemble fit
 # ---------------------------------------------------------------------------
 
-def test_energy_record_validation():
-    row = EnergyRecord(t=0.0, e_q=1.0, psi=0.1, phi_weight=1.0,
-                       max_gap=0.0, a_half_v=0.5, grad_d=0.2, lap_d=0.3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        row.e_q = 2.0  # type: ignore[misc]
-    for bad in (
-        dict(e_q=-1.0),
-        dict(phi_weight=0.0),
-        dict(phi_weight=1.5),
-        dict(psi=float("nan")),
-    ):
-        kwargs = dict(t=0.0, e_q=1.0, psi=0.1, phi_weight=1.0,
-                      max_gap=0.0, a_half_v=0.5, grad_d=0.2, lap_d=0.3)
-        kwargs.update(bad)
-        with pytest.raises(ValueError):
-            EnergyRecord(**kwargs)
-
-
 def test_energy_records_expand_a_trajectory():
-    cfg = SimConfig(n_dim=2, cells=(16, 16), lengths=(1.0, 1.0),
-                    dt=1e-3, horizon=5e-3, mode_count=8)
-    rec = run_trajectory(cfg)
-    rows = energy_records(rec)
-    assert len(rows) == len(rec.times) == 6
-    assert rows[0].t == 0.0 and rows[0].phi_weight == 1.0
-    assert all(r.e_q > 0.0 for r in rows)
+    rec = run_trajectory(_small_cfg())
+    assert len(rec.times) == 6
+    assert all(len(col) == 6 for col in rec.series.values())
+    assert rec.times[0] == 0.0 and rec.series["phi_weight"][0] == 1.0
+    assert np.all(rec.series["energy_q"] > 0.0)
 
 
 def _fake_record(times, energy):

@@ -1,4 +1,4 @@
-"""Norms, the path-norm accumulator, and the binary snapshot format.
+"""Norms, the Picard path-norm distance, and the binary snapshot format.
 
 Pure sine/cosine product modes have exactly one transform coefficient, so
 every spectral norm on them reduces to a closed-form number; those are the
@@ -7,10 +7,12 @@ frozen oracles used below.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slcsim.fields import (
+    SNAPSHOT_VERSION,
     State,
-    XtAccumulator,
     director_laplacian_norm,
     director_x1_norm,
     e_norm,
@@ -20,15 +22,14 @@ from slcsim.fields import (
     l4_norm,
     linf_norm,
     read_snapshot,
-    snapshot_grid,
     spectral_summary,
     stokes_half_norm,
     stokes_norm,
     v_norm,
     write_snapshot,
-    xt_update,
 )
 from slcsim.grid import build_grid
+from slcsim.integrators import _xt_distance
 
 UNIT = build_grid(2, (32, 32), (1.0, 1.0))
 
@@ -166,26 +167,30 @@ def test_state_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# path-norm accumulator
+# Picard path-norm distance
 # ---------------------------------------------------------------------------
 
 def test_xt_accumulator_sup_and_integral():
-    s1 = _random_state(11)
-    s2 = _random_state(12)
-    acc = xt_update(XtAccumulator(), s1, 0.5)
-    acc = xt_update(acc, s2, 0.25)
-    v1, v2 = v_norm(s1), v_norm(s2)
-    e1, e2 = e_norm(s1), e_norm(s2)
-    assert acc.sup_v_sq == pytest.approx(max(v1, v2) ** 2, rel=1e-13)
-    assert acc.integral_e_sq == pytest.approx(e1**2 * 0.5 + e2**2 * 0.25, rel=1e-13)
-    assert acc.norm == pytest.approx(np.sqrt(acc.sup_v_sq + acc.integral_e_sq), rel=1e-14)
+    """The Picard path norm _xt_distance is sup_j |a_j - b_j|_V^2 plus the
+    left-endpoint sum of |a_j - b_j|_E^2 dt."""
+    s1, s2, s3 = _random_state(11), _random_state(12), _random_state(13)
+    zero = State(UNIT, np.zeros_like(s1.v), np.zeros_like(s1.d), 0.0)
+    dist = _xt_distance([s1, s2, s3], [zero, zero, zero], 0.25)
+    sup_sq = max(v_norm(s) for s in (s1, s2, s3)) ** 2
+    int_sq = (e_norm(s1) ** 2 + e_norm(s2) ** 2) * 0.25
+    assert dist == pytest.approx(np.sqrt(sup_sq + int_sq), rel=1e-12)
+    assert _xt_distance([s1, s2], [s1, s2], 0.25) == 0.0
 
 
 def test_xt_update_with_zero_dt_only_touches_sup():
-    s = _random_state(13)
-    acc = xt_update(XtAccumulator(), s, 0.0)
-    assert acc.integral_e_sq == 0.0
-    assert acc.sup_v_sq > 0.0
+    """The last node carries no time step: it enters the sup but not the integral."""
+    s1, s3 = _random_state(11), _random_state(13)
+    zero = State(UNIT, np.zeros_like(s1.v), np.zeros_like(s1.d), 0.0)
+    assert _xt_distance([s3], [zero], 0.25) == pytest.approx(v_norm(s3), rel=1e-12)
+    big = State(UNIT, s1.v, 1e3 * s1.d, 0.0)  # as the last node, only its V-norm counts
+    dist = _xt_distance([s3, big], [zero, zero], 0.25)
+    sup_sq = max(v_norm(s3), v_norm(big)) ** 2
+    assert dist == pytest.approx(np.sqrt(sup_sq + e_norm(s3) ** 2 * 0.25), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +210,6 @@ def test_snapshot_round_trip_vector(tmp_path):
     assert meta.n_components == 3
     assert meta.time == 0.375
     assert np.array_equal(back, d)  # bitwise, not approx
-    g2 = snapshot_grid(meta)
-    assert g2.cells == g.cells and g2.lengths == g.lengths
 
 
 def test_snapshot_round_trip_scalar_3d(tmp_path):
@@ -235,3 +238,53 @@ def test_snapshot_writes_are_deterministic(tmp_path):
     write_snapshot(a, g, u, time=1.0)
     write_snapshot(b, g, u, time=1.0)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _valid_snapshot(tmp_path):
+    g = build_grid(2, (8, 4), (1.0, 2.0))
+    p = tmp_path / "d.slcf"
+    write_snapshot(p, g, np.ones((3, *g.cells)), time=0.5)
+    return p, p.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda raw: raw[:20],                                     # short header
+        lambda raw: raw[:4] + (SNAPSHOT_VERSION + 1).to_bytes(4, "little") + raw[8:],
+        lambda raw: raw[:-8],                                     # truncated payload
+        lambda raw: raw + bytes(8),                               # trailing bytes
+        lambda raw: raw[:8] + (4).to_bytes(4, "little") + raw[12:],  # n_dim 4
+    ],
+    ids=["short_header", "version", "truncated", "trailing", "n_dim"],
+)
+def test_snapshot_rejects_malformed_files(tmp_path, mangle):
+    p, raw = _valid_snapshot(tmp_path)
+    p.write_bytes(mangle(raw))
+    with pytest.raises(ValueError):
+        read_snapshot(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_dim=st.sampled_from([2, 3]),
+    exponents=st.lists(st.integers(2, 4), min_size=3, max_size=3),
+    lengths=st.lists(st.floats(0.125, 8.0), min_size=3, max_size=3),
+    components=st.sampled_from([0, 2, 3]),
+    time=st.floats(allow_nan=False, allow_infinity=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_snapshot_round_trip_property(tmp_path_factory, n_dim, exponents, lengths,
+                                      components, time, seed):
+    """write_snapshot/read_snapshot is the identity on grids, component
+    counts (0 meaning a scalar field) and times, bit for bit."""
+    g = build_grid(n_dim, tuple(2**e for e in exponents[:n_dim]), tuple(lengths[:n_dim]))
+    shape = g.cells if components == 0 else (components, *g.cells)
+    field = np.random.default_rng(seed).standard_normal(shape)
+    p = tmp_path_factory.mktemp("snap") / "f.slcf"
+    write_snapshot(p, g, field, time=time)
+    meta, back = read_snapshot(p)
+    assert (meta.n_dim, meta.cells, meta.lengths) == (g.n_dim, g.cells, g.lengths)
+    assert meta.n_components == max(components, 1)
+    assert meta.time == time
+    assert back.shape == field.shape and np.array_equal(back, field)

@@ -1,8 +1,9 @@
 """Transform, stencil, and spectrum checks for the grid layer.
 
 The transforms are cross-checked against direct O(N^2) summation, and the
-compact Laplacian symbols against dense-matrix eigendecompositions, so a
-regression in the fast paths cannot hide behind its own inverse.
+projection symbol against a dense-matrix eigendecomposition of the centered
+stencils, so a regression in the fast paths cannot hide behind its own
+inverse.
 """
 
 import numpy as np
@@ -15,10 +16,8 @@ from slcsim.grid import (
     inverse_cosine_transform,
     sine_transform,
     inverse_sine_transform,
-    gradient,
     centered_gradient,
     divergence,
-    laplacian,
 )
 
 
@@ -73,51 +72,56 @@ def test_continuum_eigenvalues_on_pi_box():
     assert mu[0, 0] == pytest.approx(2.0, abs=1e-14)  # (1,1) sine mode
 
 
+def test_spectrum_is_built_once_per_grid_and_read_only():
+    g = build_grid(2, (8, 4), (1.0, 1.0))
+    spec = g.spectrum()
+    assert g.spectrum() is spec
+    assert build_grid(2, (8, 4), (1.0, 1.0)).spectrum() is spec  # equal grids share it
+    for table in (spec.neumann_eigenvalues, spec.dirichlet_eigenvalues,
+                  spec.projection_symbol):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table *= 2.0
+
+
 def test_compact_symbol_formula():
     g = build_grid(2, (8, 4), (1.0, 1.0))
     spec = g.spectrum()
     h0 = g.spacings[0]
     k = np.arange(8)
     np.testing.assert_allclose(
-        spec.neumann_symbol[:, 0], 2.0 * (1.0 - np.cos(k * np.pi / 8)) / h0**2,
-        rtol=0.0, atol=1e-12,
-    )
-    np.testing.assert_allclose(
         spec.projection_symbol[:, 0], (np.sin(k * np.pi / 8) / h0) ** 2,
         rtol=0.0, atol=1e-12,
     )
 
 
-def _dense_laplacian_1d(n: int, h: float, bc: str) -> np.ndarray:
-    """Ghost-cell Laplacian matrix: reflection (neumann) or antireflection."""
+def _dense_centered_diff_1d(n: int, h: float, parity: float) -> np.ndarray:
+    """(u[j+1] - u[j-1]) / 2h as a matrix, with parity ghosts at both ends."""
     mat = np.zeros((n, n))
     for i in range(n):
-        mat[i, i] = -2.0
-        if i > 0:
-            mat[i, i - 1] = 1.0
         if i + 1 < n:
             mat[i, i + 1] = 1.0
-    if bc == "neumann":
-        mat[0, 0] += 1.0
-        mat[-1, -1] += 1.0
-    else:
-        mat[0, 0] -= 1.0
-        mat[-1, -1] -= 1.0
-    return mat / h**2
+        if i > 0:
+            mat[i, i - 1] = -1.0
+    mat[0, 0] -= parity
+    mat[-1, -1] += parity
+    return mat / (2.0 * h)
 
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_compact_symbols_match_matrix_eigenvalues(bc):
-    """The symbol tables are the exact spectra of the dense stencil matrices."""
+    """The projection symbol is the exact spectrum of -D_{-p} D_p, the centered
+    gradient with ghost parity p followed by its negative adjoint.  For
+    ``neumann`` this is the wide Laplacian pressure_of inverts; for
+    ``dirichlet`` it is the Gram matrix of the velocity gradient, the same
+    product in the other order, so it shares the spectrum."""
     g = build_grid(2, (8, 4), (1.0, 1.0))
-    spec = g.spectrum()
-    table = spec.neumann_symbol if bc == "neumann" else spec.dirichlet_symbol
-    # axis-0 marginal: subtract the axis-1 ground contribution (zero for the
-    # cosine table, the k=1 sine symbol for the Dirichlet table)
-    ground = 0.0 if bc == "neumann" else 2.0 * (1.0 - np.cos(np.pi / 4)) / g.spacings[1] ** 2
-    axis_line = table[:, 0] - ground
-    dense = _dense_laplacian_1d(8, g.spacings[0], bc)
-    eigs = np.sort(-np.linalg.eigvalsh(dense))
+    h = g.spacings[0]
+    parity = 1.0 if bc == "neumann" else -1.0
+    wide = _dense_centered_diff_1d(8, h, -parity) @ _dense_centered_diff_1d(8, h, parity)
+    eigs = np.sort(-np.linalg.eigvalsh(wide))  # symmetric: the stencils are adjoint
+    axis_line = g.spectrum().projection_symbol[:, 0]  # axis-1 ground term is zero
     np.testing.assert_allclose(np.sort(axis_line), eigs, rtol=1e-12, atol=1e-10)
 
 
@@ -192,39 +196,31 @@ def test_transform_shape_mismatch_rejected():
 # difference stencils
 # ---------------------------------------------------------------------------
 
+def _wide_laplacian(g, u):
+    return divergence(g, centered_gradient(g, u, "neumann"), "dirichlet")
+
+
 def test_sampled_cosine_is_compact_neumann_eigenvector():
+    # the identity pressure_of relies on: centered div o grad (the wide
+    # Laplacian) acts on a sampled cosine mode as -projection_symbol
     g = build_grid(2, (16, 16), (1.0, 1.0))
     x, _ = g.meshgrid()
     for k in (1, 3, 7):
         u = np.cos(k * np.pi * x / g.lengths[0])
-        sym = 2.0 * (1.0 - np.cos(k * np.pi / 16)) / g.spacings[0] ** 2
-        resid = laplacian(g, u, "neumann") + sym * u
-        assert np.max(np.abs(resid)) <= 1e-10 * sym
-
-
-def test_sampled_sine_is_compact_dirichlet_eigenvector():
-    # must be a product mode: a field constant along one axis is not in the
-    # antireflection class and picks up O(1/h^2) wall residue there
-    g = build_grid(2, (16, 16), (1.0, 1.0))
-    x, y = g.meshgrid()
-    for kx, ky in ((1, 1), (4, 2), (9, 5)):
-        u = np.sin(kx * np.pi * x / g.lengths[0]) * np.sin(ky * np.pi * y / g.lengths[1])
-        sym = (
-            2.0 * (1.0 - np.cos(kx * np.pi / 16)) / g.spacings[0] ** 2
-            + 2.0 * (1.0 - np.cos(ky * np.pi / 16)) / g.spacings[1] ** 2
-        )
-        resid = laplacian(g, u, "dirichlet") + sym * u
+        sym = g.spectrum().projection_symbol[k, 0]
+        resid = _wide_laplacian(g, u) + sym * u
         assert np.max(np.abs(resid)) <= 1e-10 * sym
 
 
 def test_divergence_of_gradient_is_laplacian():
-    # exact stencil identity for the Neumann pairing, not a consistency bound
+    # exact for every field: div o grad is -projection_symbol per cosine mode
     rng = np.random.default_rng(21)
     g = build_grid(2, (16, 8), (1.0, 1.0))
+    sym = g.spectrum().projection_symbol
     for _ in range(5):
         u = rng.standard_normal(g.cells)
-        composed = divergence(g, gradient(g, u, "neumann"), "neumann")
-        direct = laplacian(g, u, "neumann")
+        composed = _wide_laplacian(g, u)
+        direct = inverse_cosine_transform(g, -sym * cosine_transform(g, u))
         assert np.max(np.abs(composed - direct)) <= 1e-11 * np.max(np.abs(direct))
 
 
@@ -248,20 +244,26 @@ def test_dirichlet_divergence_is_mean_free():
     assert abs(np.sum(divergence(g, F, "dirichlet")) * g.cell_volume) <= 1e-12
 
 
+def test_divergence_rejects_other_boundary_kinds():
+    g = build_grid(2, (8, 8), (1.0, 1.0))
+    with pytest.raises(ValueError):
+        divergence(g, np.zeros((2, *g.cells)), "neumann")
+
+
 def test_gradient_of_linear_field_interior():
     g = build_grid(2, (32, 32), (1.0, 1.0))
     x, y = g.meshgrid()
     u = 2.0 * x + 3.0 * y
-    gx = gradient(g, u, "neumann")
-    # face-offset forward differences are exact for linear data away from faces
-    assert np.max(np.abs(gx[0][:-1, :] - 2.0)) <= 1e-12
-    assert np.max(np.abs(gx[1][:, :-1] - 3.0)) <= 1e-12
+    gx = centered_gradient(g, u, "neumann")
+    # centered differences are exact for linear data away from the walls
+    assert np.max(np.abs(gx[0][1:-1, :] - 2.0)) <= 1e-12
+    assert np.max(np.abs(gx[1][:, 1:-1] - 3.0)) <= 1e-12
 
 
 def test_laplacian_3d_smoke():
     g = build_grid(3, (8, 4, 4), (1.0, 1.0, 1.0))
     x = g.meshgrid()[0]
     u = np.cos(np.pi * x / g.lengths[0])
-    sym = 2.0 * (1.0 - np.cos(np.pi / 8)) / g.spacings[0] ** 2
-    resid = laplacian(g, u, "neumann") + sym * u
+    sym = g.spectrum().projection_symbol[1, 0, 0]
+    resid = _wide_laplacian(g, u) + sym * u
     assert np.max(np.abs(resid)) <= 1e-10

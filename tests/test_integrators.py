@@ -20,7 +20,6 @@ from slcsim.fields import State
 from slcsim.grid import build_grid, divergence
 from slcsim.integrators import (
     StoppingRecord,
-    TruncationParams,
     detect_tau,
     em_step,
     initial_state,
@@ -97,15 +96,6 @@ def test_cutoff_is_lipschitz_with_inverse_radius_constant():
 def test_cutoff_rejects_negative_argument():
     with pytest.raises(ValueError):
         theta_cutoff(-1e-9, 1.0)
-
-
-def test_truncation_params_validation():
-    assert TruncationParams().radius == 1e6
-    with pytest.raises(ValueError):
-        TruncationParams(radius=0.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        p = TruncationParams(radius=2.0)
-        p.radius = 3.0  # type: ignore[misc]
 
 
 def test_detect_tau_records_first_crossings_and_halts_on_last():
@@ -385,6 +375,42 @@ def test_trajectory_reports_numerical_failure_and_cfl_warning(caplog):
     assert rec.steps_completed < cfg.n_steps
     assert not np.all(np.isfinite(rec.terminal.v))
     assert "advective CFL exceeded" in caplog.text
+
+
+def test_picard_trajectory_warns_on_advective_cfl(caplog):
+    # the exact semigroups keep this run finite, but the CFL number of the
+    # initial vortex is far above one, and Picard runs the same check as EM
+    cfg = _cfg(scheme="picard", dt=1.0, horizon=3.0, velocity_amplitude=1e4,
+               thresholds=(float("inf"),), max_iterations=3)
+    with caplog.at_level(logging.WARNING, logger="slcsim.integrators"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with np.errstate(all="ignore"):
+                run_trajectory(cfg)
+    assert "advective CFL exceeded at t=0" in caplog.text
+
+
+def test_picard_numerical_failure_keeps_the_non_finite_node(monkeypatch):
+    """Both schemes share one rule: the first non-finite node counts as a
+    step and becomes the terminal state."""
+    import slcsim.integrators as integrators
+
+    real = integrators.picard_solve
+
+    def poisoned(cache, cfg, y0, path, start, n):
+        nodes, stats = real(cache, cfg, y0, path, start, n)
+        if start == 4:
+            bad = nodes[2]
+            nodes[2] = State(bad.grid, np.full_like(bad.v, np.nan), bad.d, bad.t)
+        return nodes, stats
+
+    monkeypatch.setattr(integrators, "picard_solve", poisoned)
+    cfg = _cfg(scheme="picard", horizon=16e-3, window=4e-3)
+    rec = run_trajectory(cfg)
+    assert rec.status == "numerical_failure"
+    assert rec.steps_completed == 6
+    assert not np.all(np.isfinite(rec.terminal.v))
+    np.testing.assert_allclose(rec.times, cfg.dt * np.arange(6))  # none for the bad node
 
 
 def test_trajectory_snapshot_sink_follows_configured_cadence():
