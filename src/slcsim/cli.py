@@ -173,7 +173,7 @@ def _cmd_ensemble(args) -> int:
     for rec, name in zip(records, names):
         _write_series_csv(out / name, rec)
 
-    fit = ensemble_energy_bound(records, cfg.q)
+    fit = ensemble_energy_bound(records)
     n = len(fit.times)
     with open(out / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)

@@ -3,7 +3,9 @@
 The on-disk format is sectioned ``key = value`` text (INI).  Parsing is
 strict: unknown sections or keys are errors, and every violation found is
 reported in one aggregated message rather than first-failure-wins.  A
-round trip through ``to_text``/``parse_config`` is lossless.
+round trip through ``to_text``/``parse_config`` is lossless.  Step counts
+are never rounded: ``horizon/dt``, and for Picard ``window/dt``, must be
+whole numbers of steps.
 
 No physics parameter defaults silently: the resolved configuration, with
 every default filled in, is echoed into the run manifest before compute.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -52,7 +55,7 @@ class SimConfig:
     director_profile: str = "twist"
     director_amplitude: float = 0.9
     # [picard]
-    window: float = 0.0625
+    window: float = 0.064
     tolerance: float = 1e-9
     max_iterations: int = 60
     truncation_radius: float = 1e6
@@ -196,6 +199,15 @@ def parse_config_file(path) -> SimConfig:
         return parse_config(f.read())
 
 
+def _whole_steps(ratio: float) -> bool:
+    """A span/dt ratio that is an integer >= 1 up to rounding: 0.1/0.004 is
+    25.000000000000004, so 1e-9 relative slack is allowed."""
+    if not math.isfinite(ratio):
+        return False
+    n = round(ratio)
+    return n >= 1 and abs(ratio - n) <= 1e-9 * n
+
+
 def validate(cfg: SimConfig) -> None:
     """Check every constraint; raise one ConfigError aggregating all violations."""
     errors: list[str] = []
@@ -210,6 +222,8 @@ def validate(cfg: SimConfig) -> None:
         errors.append(f"dt must be positive, got {cfg.dt}")
     if not cfg.horizon > 0.0:
         errors.append(f"horizon must be positive, got {cfg.horizon}")
+    elif cfg.dt > 0.0 and not _whole_steps(cfg.horizon / cfg.dt):
+        errors.append(f"horizon/dt must be an integer >= 1, got {cfg.horizon / cfg.dt!r}")
     if cfg.scheme not in ("em", "picard"):
         errors.append(f"scheme must be em or picard, got {cfg.scheme!r}")
     if not cfg.eps > 0.0:
@@ -234,6 +248,8 @@ def validate(cfg: SimConfig) -> None:
         errors.append("velocity_amplitude must be nonnegative")
     if not cfg.window > 0.0:
         errors.append(f"picard window must be positive, got {cfg.window}")
+    elif cfg.scheme == "picard" and cfg.dt > 0.0 and not _whole_steps(cfg.window / cfg.dt):
+        errors.append(f"picard window/dt must be an integer >= 1, got {cfg.window / cfg.dt!r}")
     if not cfg.tolerance > 0.0:
         errors.append("picard tolerance must be positive")
     if cfg.max_iterations < 1:

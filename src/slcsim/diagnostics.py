@@ -102,11 +102,10 @@ def _phi_exponents(n_dim: int) -> tuple[float, float]:
     return 8.0 / (n_dim + 4.0), 8.0 / (4.0 - n_dim)
 
 
-def phi_rate(v_l2: float, a_half_v: float, n_dim: int, c_phi: float | None = None) -> float:
-    """Instantaneous rate C_phi * |v|^2 * |A^{1/2}v|^{2n/(4-n)}."""
-    p, q = _phi_exponents(n_dim)
-    if c_phi is None:
-        c_phi = young_constant(1.0, p, q)
+def phi_rate(v_l2: float, a_half_v: float, n_dim: int) -> float:
+    """Instantaneous rate C_phi * |v|^2 * |A^{1/2}v|^{2n/(4-n)}, with C_phi the
+    Young constant at alpha = 1 for the exponents of dimension n."""
+    c_phi = young_constant(1.0, *_phi_exponents(n_dim))
     return c_phi * v_l2**2 * a_half_v ** (2.0 * n_dim / (4.0 - n_dim))
 
 
@@ -114,8 +113,8 @@ def phi_rate(v_l2: float, a_half_v: float, n_dim: int, c_phi: float | None = Non
 # inequality probes
 # ---------------------------------------------------------------------------
 
-def lipschitz_probe_F(y1: State, y2: State, eps: float = 1.0) -> float:
-    """Ratio of |F(y1)-F(y2)|_H to the two-term bracket with exponent n/4.
+def lipschitz_probe_F(y1: State, y2: State) -> float:
+    """Ratio of |F(y1)-F(y2)|_H to the two-term bracket with exponent n/4, at eps = 1.
 
     The bracket is |y1-y2|_V * ( |y1|_V^{1-a} |y1|_E^a
     + |y1-y2|_E^a |y1-y2|_V^{-a} |y2|_V + 1 ); its trailing +1 keeps the
@@ -129,8 +128,8 @@ def lipschitz_probe_F(y1: State, y2: State, eps: float = 1.0) -> float:
         raise DomainError("identical states give an undefined ratio")
     # the drift without its Ito correction is -F, and F(y1) - F(y2) is the
     # exact negation of the drift difference, so the norms agree bit for bit
-    dv1, dd1 = drift(grid, y1.v, y1.d, eps)
-    dv2, dd2 = drift(grid, y2.v, y2.d, eps)
+    dv1, dd1 = drift(grid, y1.v, y1.d, 1.0)
+    dv2, dd2 = drift(grid, y2.v, y2.d, 1.0)
     num = np.sqrt(
         l2_norm(grid, dv1 - dv2) ** 2 + h_norm(grid, dd1 - dd2, 1, "neumann") ** 2
     )
@@ -142,31 +141,32 @@ def lipschitz_probe_F(y1: State, y2: State, eps: float = 1.0) -> float:
     return float(num / (dv * bracket))
 
 
-def remark_ratio(grid: Grid, d: np.ndarray, eps: float = 1.0, c_tilde: float = 2.0) -> float:
-    """|d|_{H2}^2 against the residual bound psi + 2*c_tilde*|d|^2."""
-    denom = psi_functional(grid, d, eps) + 2.0 * c_tilde * l2_norm(grid, d) ** 2
+def remark_ratio(grid: Grid, d: np.ndarray) -> float:
+    """|d|_{H2}^2 against the residual bound psi + 2*c_tilde*|d|^2, at eps = 1
+    and c_tilde = 2."""
+    denom = psi_functional(grid, d, 1.0) + 4.0 * l2_norm(grid, d) ** 2
     return h_norm(grid, d, 2, "neumann") ** 2 / denom
 
 
-def _component_gradients(grid: Grid, u: np.ndarray, bc_kind: str) -> np.ndarray:
+def _component_gradients(grid: Grid, u: np.ndarray) -> np.ndarray:
     comps = u.reshape(-1, *grid.cells)
-    return np.concatenate([centered_gradient(grid, c, bc_kind) for c in comps])
+    return np.concatenate([centered_gradient(grid, c, "dirichlet") for c in comps])
 
 
-def gn_l4_ratio(grid: Grid, u: np.ndarray, bc_kind: str = "dirichlet") -> float:
-    """|u|_{L4} over |u|^{1-a} |grad u|^a with a = n/4."""
+def gn_l4_ratio(grid: Grid, u: np.ndarray) -> float:
+    """|u|_{L4} over |u|^{1-a} |grad u|^a with a = n/4, for u vanishing on the walls."""
     a = grid.n_dim / 4.0
-    grad = _component_gradients(grid, u, bc_kind)
+    grad = _component_gradients(grid, u)
     denom = l2_norm(grid, u) ** (1.0 - a) * l2_norm(grid, grad) ** a
     if denom == 0.0:
         raise DomainError("degenerate field for the interpolation probe")
     return l4_norm(grid, u) / denom
 
 
-def gn_linf_ratio(grid: Grid, u: np.ndarray, bc_kind: str = "dirichlet") -> float:
-    """|u|_inf over |u|_{L4}^{1-a} |grad u|_{L4}^a with a = n/4."""
+def gn_linf_ratio(grid: Grid, u: np.ndarray) -> float:
+    """|u|_inf over |u|_{L4}^{1-a} |grad u|_{L4}^a with a = n/4, for u vanishing on the walls."""
     a = grid.n_dim / 4.0
-    grad = _component_gradients(grid, u, bc_kind)
+    grad = _component_gradients(grid, u)
     denom = l4_norm(grid, u) ** (1.0 - a) * l4_norm(grid, grad) ** a
     if denom == 0.0:
         raise DomainError("degenerate field for the interpolation probe")
@@ -178,14 +178,10 @@ def gn_linf_ratio(grid: Grid, u: np.ndarray, bc_kind: str = "dirichlet") -> floa
 # ---------------------------------------------------------------------------
 
 def random_smooth_scalar(
-    grid: Grid,
-    seed: int,
-    n_modes: int = 6,
-    decay: float = 2.0,
-    bc_kind: str = "dirichlet",
-    amplitude: float = 1.0,
+    grid: Grid, seed: int, bc_kind: str = "dirichlet", amplitude: float = 1.0
 ) -> np.ndarray:
-    """Low-mode random series sampled at cell centers.
+    """Random series over the first 6 modes per axis, with coefficients
+    decaying as 1/|k|^2, sampled at cell centers.
 
     The coefficients depend only on the seed, so refining the grid samples
     the *same* continuum function — exactly what refinement probes need.
@@ -194,9 +190,9 @@ def random_smooth_scalar(
     coords = grid.meshgrid()
     wave = np.sin if bc_kind == "dirichlet" else np.cos
     out = np.zeros(grid.cells)
-    for idx in np.ndindex(*(n_modes,) * grid.n_dim):
+    for idx in np.ndindex(*(6,) * grid.n_dim):
         k = np.asarray(idx) + 1
-        c = rng.standard_normal() / float(np.sum(k.astype(float) ** 2)) ** (decay / 2.0)
+        c = rng.standard_normal() / float(np.sum(k.astype(float) ** 2))
         term = c
         for ax in range(grid.n_dim):
             term = term * wave(k[ax] * np.pi * coords[ax] / grid.lengths[ax])
@@ -209,14 +205,12 @@ def random_smooth_vector(
     grid: Grid,
     seed: int,
     components: int,
-    n_modes: int = 6,
-    decay: float = 2.0,
     bc_kind: str = "dirichlet",
     amplitude: float = 1.0,
 ) -> np.ndarray:
     return np.stack(
         [
-            random_smooth_scalar(grid, seed * 977 + c, n_modes, decay, bc_kind, amplitude)
+            random_smooth_scalar(grid, seed * 977 + c, bc_kind, amplitude)
             for c in range(components)
         ]
     )
@@ -236,23 +230,21 @@ def random_probe_state(grid: Grid, seed: int, amplitude: float = 1.0) -> State:
 # duality gap and Richardson order
 # ---------------------------------------------------------------------------
 
-def duality_gap(grid: Grid, seed: int = 0, amplitude: float = 1.0) -> float:
+def duality_gap(grid: Grid, seed: int = 0) -> float:
     """|<B2(v,d), Delta d> - <m(d,d), v>| on one random smooth pair.
 
     With one director argument the continuum identity is exact; the discrete
     gap is pure discretization error, so refining the grid must shrink it at
     second order.
     """
-    v = leray_project(
-        grid, random_smooth_vector(grid, seed, grid.n_dim, bc_kind="dirichlet", amplitude=amplitude)
-    )
-    d = random_smooth_vector(grid, seed + 101, 3, bc_kind="neumann", amplitude=amplitude)
+    v = leray_project(grid, random_smooth_vector(grid, seed, grid.n_dim, bc_kind="dirichlet"))
+    d = random_smooth_vector(grid, seed + 101, 3, bc_kind="neumann")
     lhs = float(np.sum(b2(grid, v, d) * _director_laplacian(grid, d)) * grid.cell_volume)
     rhs = float(np.sum(m_term(grid, d, d) * v) * grid.cell_volume)
     return abs(lhs - rhs)
 
 
-def duality_gap_mixed(grid: Grid, seed: int = 0, amplitude: float = 1.0) -> float:
+def duality_gap_mixed(grid: Grid, seed: int = 0) -> float:
     """Polarized two-director version of the duality gap.
 
     For distinct director arguments only the symmetrized combination is an
@@ -260,11 +252,9 @@ def duality_gap_mixed(grid: Grid, seed: int = 0, amplitude: float = 1.0) -> floa
     is antisymmetric under swapping the directors), so that is the
     combination whose discrete gap must vanish at second order.
     """
-    v = leray_project(
-        grid, random_smooth_vector(grid, seed, grid.n_dim, bc_kind="dirichlet", amplitude=amplitude)
-    )
-    d1 = random_smooth_vector(grid, seed + 101, 3, bc_kind="neumann", amplitude=amplitude)
-    d2 = random_smooth_vector(grid, seed + 202, 3, bc_kind="neumann", amplitude=amplitude)
+    v = leray_project(grid, random_smooth_vector(grid, seed, grid.n_dim, bc_kind="dirichlet"))
+    d1 = random_smooth_vector(grid, seed + 101, 3, bc_kind="neumann")
+    d2 = random_smooth_vector(grid, seed + 202, 3, bc_kind="neumann")
     lhs = float(np.sum(b2(grid, v, d2) * _director_laplacian(grid, d1)) * grid.cell_volume)
     lhs += float(np.sum(b2(grid, v, d1) * _director_laplacian(grid, d2)) * grid.cell_volume)
     rhs = float(
@@ -294,14 +284,13 @@ class EnsembleFit:
     mean_energy: np.ndarray
 
 
-def ensemble_energy_bound(records, q: float | None = None) -> EnsembleFit:
+def ensemble_energy_bound(records) -> EnsembleFit:
     """Smallest C with mean energy_q(t) <= E(0) * exp(C t) over the horizon.
 
     Trajectories that halted early are truncated to the common time range.
     Statistically meaningful fits need a few dozen trajectories; the fit
     itself is defined for any nonempty ensemble (size 1 reduces to a single
-    trajectory).  q is accepted for signature symmetry; the series were
-    already produced with the configured exponent.
+    trajectory).  The energy_q series already carry the configured exponent.
     """
     if not records:
         raise ConfigError("ensemble fit needs at least one trajectory record")

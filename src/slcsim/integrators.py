@@ -1,26 +1,23 @@
 """Time integration: semi-implicit Euler-Maruyama and windowed Picard iteration.
 
-Both schemes share one Brownian realization.  The EM step treats every
-nonlinear and noise term explicitly at the left endpoint and then applies
-the linear solves (implicit Euler per sine mode for velocity, exact
-exponential per cosine mode for the director).  The Picard scheme solves
-the mild fixed-point equation window by window: each sweep is the exact
-recursion
+Both schemes discretize one equation on one Brownian realization through
+one step body, ``_step``, with the drift of :func:`slcsim.operators.drift`:
 
-    u_{j+1} = S(dt) [ u_j + dt * g_j + xi_j ]
+    y+ = S(dt) [ base + theta * dt * (-F - L)(at) + theta * G(at) dW ]
 
-which reproduces left-endpoint Riemann/Ito convolution sums against the
-semigroup without the O(N^2) cost of assembling them directly.  The drift
-and diffusion entering a sweep are truncated by theta(|u|_{X_t} / radius)
-evaluated on the previous iterate's running path norm.  Both schemes take
-the drift from :func:`slcsim.operators.drift` and the linear solves from
-the semigroups in :mod:`slcsim.operators`.
+EM steps with base = at = y, theta = 1 and the implicit Euler velocity
+solve.  A Picard sweep is the exact recursion u_{j+1} = _step(u_j, prev_j)
+with the exact velocity semigroup, which reproduces left-endpoint
+Riemann/Ito convolution sums against the semigroup without the O(N^2) cost
+of assembling them directly.  Its theta_j = theta(|prev|_{X_t} / radius)
+reads the previous iterate's running path norm ``_xt_norms``, which on the
+node differences of two iterates is also the sweep distance.
 
 ``run_trajectory`` feeds the nodes of either scheme, one at a time, into a
 single per-node path (``_NodeLoop.advance``): the finite check, the phi
 integral, the stopping thresholds, the series rows, the snapshots and the
 advective CFL warning.  EM hands it each step; Picard hands it the nodes of
-each solved window in order.
+each solved window in order, and both stop on the same rule.
 """
 
 from __future__ import annotations
@@ -134,8 +131,36 @@ def initial_state(cfg: SimConfig, grid: Grid) -> State:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maruyama
+# the shared step, and Euler-Maruyama
 # ---------------------------------------------------------------------------
+
+def _step(
+    base: State,
+    at: State,
+    dt: float,
+    dw1: np.ndarray,
+    dw2: float,
+    cache: OperatorCache,
+    cfg: SimConfig,
+    theta: float,
+    velocity_solve,
+) -> State:
+    """The step both schemes share: drift and noise taken at ``at``, scaled
+    by theta and added to ``base``, then the director semigroup and
+    ``velocity_solve``.  The result sits one step after ``at``."""
+    grid = base.grid
+    dv, dd = drift(grid, at.v, at.d, cache.eps, cache,
+                   velocity=not cfg.freeze_velocity, transport=cfg.enable_transport,
+                   penalty=cfg.enable_penalty)
+    d_star = base.d + theta * dt * dd + theta * director_noise_increment(cache, at.d, dw2)
+    d_new = semigroup_director(grid, d_star, dt) if cfg.director_diffusion else d_star
+    if cfg.freeze_velocity:
+        v_new = base.v
+    else:
+        v_star = base.v + theta * dt * dv + theta * velocity_noise_increment(cache, at.v, dw1)
+        v_new = velocity_solve(grid, v_star, dt)
+    return State(grid=grid, v=v_new, d=d_new, t=at.t + dt)
+
 
 def em_step(
     state: State,
@@ -146,20 +171,7 @@ def em_step(
     cfg: SimConfig,
 ) -> State:
     """One explicit-drift, implicit-diffusion Euler-Maruyama step."""
-    grid = state.grid
-    dv, dd = drift(grid, state.v, state.d, cache.eps, cache,
-                   velocity=not cfg.freeze_velocity, transport=cfg.enable_transport,
-                   penalty=cfg.enable_penalty)
-    d_star = state.d + dt * dd + director_noise_increment(cache, state.d, dw2)
-    d_new = (
-        semigroup_director(grid, d_star, dt) if cfg.director_diffusion else d_star
-    )
-    if cfg.freeze_velocity:
-        v_new = state.v
-    else:
-        v_star = state.v + dt * dv + velocity_noise_increment(cache, state.v, dw1)
-        v_new = semigroup_velocity_step(grid, v_star, dt)
-    return State(grid=grid, v=v_new, d=d_new, t=state.t + dt)
+    return _step(state, state, dt, dw1, dw2, cache, cfg, 1.0, semigroup_velocity_step)
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +189,22 @@ class WindowStats:
     min_theta: float = 1.0  # 1.0 means the cutoff never engaged
 
 
-def _node_norms(states: list[State]) -> tuple[np.ndarray, np.ndarray]:
-    vs = np.empty(len(states))
-    es = np.empty(len(states))
-    for j, s in enumerate(states):
+def _xt_norms(states, dt: float) -> np.ndarray:
+    """Running path norm sqrt(sup_{i<=j} |u_i|_V^2 + sum_{i<j} |u_i|_E^2 dt) at
+    every node j; ``states`` is read once, so it may be a generator."""
+    vs, es = [], []
+    for s in states:
         summ = spectral_summary(s)
-        vs[j] = summ["v_norm"]
-        es[j] = summ["e_norm"]
-    return vs, es
+        vs.append(summ["v_norm"])
+        es.append(summ["e_norm"])
+    run_sup = np.maximum.accumulate(np.square(vs))
+    run_int = np.concatenate([[0.0], np.cumsum(np.square(es[:-1]) * dt)])
+    return np.sqrt(run_sup + run_int)
 
 
 def _xt_distance(a: list[State], b: list[State], dt: float) -> float:
-    sup_sq = 0.0
-    int_sq = 0.0
-    for j in range(len(a)):
-        diff = State(a[j].grid, a[j].v - b[j].v, a[j].d - b[j].d, a[j].t)
-        summ = spectral_summary(diff)
-        sup_sq = max(sup_sq, summ["v_norm"] ** 2)
-        if j < len(a) - 1:
-            int_sq += summ["e_norm"] ** 2 * dt
-    return float(np.sqrt(sup_sq + int_sq))
+    diffs = (State(x.grid, x.v - y.v, x.d - y.d, x.t) for x, y in zip(a, b))
+    return float(_xt_norms(diffs, dt)[-1])
 
 
 def picard_solve(
@@ -233,35 +241,14 @@ def picard_solve(
     min_theta = 1.0
     for _ in range(cfg.max_iterations):
         iterations += 1
-        vs, es = _node_norms(prev)
-        run_sup = np.maximum.accumulate(vs**2)
-        run_int = np.concatenate([[0.0], np.cumsum(es[:-1] ** 2 * dt)])
-        xt_norms = np.sqrt(run_sup + run_int)
-
+        xt_norms = _xt_norms(prev, dt)
         cur: list[State] = [y0]
         for j in range(n_window_steps):
             theta = theta_cutoff(float(xt_norms[j]), radius)
             min_theta = min(min_theta, theta)
-            uj = prev[j]
-            dv, dd = drift(grid, uj.v, uj.d, cache.eps, cache,
-                           velocity=not cfg.freeze_velocity,
-                           transport=cfg.enable_transport, penalty=cfg.enable_penalty)
-            dw1 = path.w1(start_step + j)
-            dw2 = path.w2(start_step + j)
-            d_star = (
-                cur[-1].d
-                + theta * (dt * dd + director_noise_increment(cache, uj.d, dw2))
-            )
-            d_new = semigroup_director(grid, d_star, dt) if cfg.director_diffusion else d_star
-            if cfg.freeze_velocity:
-                v_new = cur[-1].v
-            else:
-                v_star = (
-                    cur[-1].v
-                    + theta * (dt * dv + velocity_noise_increment(cache, uj.v, dw1))
-                )
-                v_new = semigroup_velocity_exact(grid, v_star, dt)
-            cur.append(State(grid, v_new, d_new, uj.t + dt))
+            cur.append(_step(cur[-1], prev[j], dt, path.w1(start_step + j),
+                             path.w2(start_step + j), cache, cfg, theta,
+                             semigroup_velocity_exact))
 
         dist = _xt_distance(cur, prev, dt)
         distances.append(dist)
@@ -421,7 +408,6 @@ def run_trajectory(
     cfg: SimConfig,
     trajectory: int = 0,
     path: BrownianPath | None = None,
-    cache: OperatorCache | None = None,
     snapshot_sink=None,
 ) -> TrajectoryRecord:
     """Integrate one trajectory to the horizon or a stopping event.
@@ -430,8 +416,7 @@ def run_trajectory(
     configured snapshot cadence (and for the initial state).
     """
     grid = cfg.grid()
-    if cache is None:
-        cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)
+    cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)
     if path is None:
         path = sample_path(cfg.seed, trajectory, cfg.dt, cfg.n_steps, cfg.mode_count)
     if path.mode_count != cfg.mode_count:
@@ -443,7 +428,7 @@ def run_trajectory(
     window_stats: list[WindowStats] = []
     if cfg.scheme == "picard":
         n_win = max(1, int(round(cfg.window / dt)))
-        while loop.steps < n_steps and loop.status == "completed" and not loop.stopping.halted:
+        while loop.steps < n_steps and loop.status == "completed":
             take = min(n_win, n_steps - loop.steps)
             nodes, stats = picard_solve(cache, cfg, loop.state, path, loop.steps, take)
             window_stats.append(stats)

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slcsim.cli
 from slcsim.cli import main
@@ -104,14 +107,93 @@ def test_parse_config_aggregates_all_problems_in_one_error():
 
 
 def test_validate_aggregates_constraint_violations():
-    cfg = dataclasses.replace(default_config(), dt=-1.0, scheme="verlet",
-                              thresholds=(100.0, 10.0))
-    with pytest.raises(ConfigError) as err:
-        validate(cfg)
-    msg = str(err.value)
-    assert "dt must be positive" in msg
-    assert "scheme must be em or picard" in msg
-    assert "thresholds must be ascending" in msg
+    cases = [
+        (dict(dt=-1.0, scheme="verlet", thresholds=(100.0, 10.0)),
+         ["dt must be positive", "scheme must be em or picard",
+          "thresholds must be ascending"]),
+        # step counts are never rounded: 62.5 steps and half a step are errors
+        (dict(horizon=0.0625, scheme="picard", window=0.0625),
+         ["horizon/dt must be an integer >= 1, got 62.5",
+          "picard window/dt must be an integer >= 1, got 62.5"]),
+        (dict(horizon=5e-4), ["horizon/dt must be an integer >= 1, got 0.5"]),
+    ]
+    for overrides, messages in cases:
+        cfg = dataclasses.replace(default_config(), **overrides)
+        with pytest.raises(ConfigError) as err:
+            validate(cfg)
+        for message in messages:
+            assert message in str(err.value)
+
+
+def test_validate_accepts_step_counts_up_to_rounding():
+    # 0.1 / 0.004 evaluates to 25.000000000000004; Euler-Maruyama has no window
+    validate(dataclasses.replace(default_config(), dt=0.004, horizon=0.1,
+                                 scheme="picard", window=0.02))
+    validate(dataclasses.replace(default_config(), window=0.0625))
+    assert SimConfig(dt=0.004, horizon=0.1).n_steps == 25
+
+
+@st.composite
+def _valid_configs(draw):
+    n_dim = draw(st.sampled_from([2, 3]))
+    positive = st.floats(1e-6, 1e6)
+    dt = 2.0 ** -draw(st.integers(0, 14))
+    return SimConfig(
+        n_dim=n_dim,
+        cells=tuple(2 ** e for e in draw(st.lists(st.integers(2, 6), min_size=n_dim,
+                                                  max_size=n_dim))),
+        lengths=tuple(draw(st.lists(st.floats(0.125, 8.0), min_size=n_dim, max_size=n_dim))),
+        dt=dt,
+        horizon=draw(st.integers(1, 10**6)) * dt,
+        scheme=draw(st.sampled_from(["em", "picard"])),
+        eps=draw(positive),
+        q=draw(st.floats(2.0, 8.0)),
+        noise_kind=draw(st.sampled_from(["additive_trace_class", "linear_multiplicative"])),
+        sigma=draw(st.floats(0.0, 10.0)),
+        decay_exponent=draw(st.floats(1.0, 4.0, exclude_min=True)),
+        mode_count=draw(st.integers(1, 64)),
+        clip=draw(positive),
+        magnetic_profile=draw(st.sampled_from(["zero", "sine_bump"])),
+        magnetic_amplitude=draw(st.floats(-10.0, 10.0)),
+        velocity_profile=draw(st.sampled_from(["zero", "taylor_vortex"])),
+        velocity_amplitude=draw(st.floats(0.0, 1e4)),
+        director_profile=draw(st.sampled_from(["uniform", "twist"])),
+        director_amplitude=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        window=draw(st.integers(1, 10**4)) * dt,
+        tolerance=draw(positive),
+        max_iterations=draw(st.integers(1, 1000)),
+        truncation_radius=draw(positive),
+        thresholds=tuple(sorted(draw(st.lists(st.floats(1e-6, float("inf")),
+                                              min_size=1, max_size=3)))),
+        record_every=draw(st.integers(1, 1000)),
+        freeze_velocity=draw(st.booleans()),
+        director_diffusion=draw(st.booleans()),
+        enable_penalty=draw(st.booleans()),
+        enable_transport=draw(st.booleans()),
+        save_snapshots=draw(st.booleans()),
+        snapshot_every=draw(st.integers(0, 1000)),
+        seed=draw(st.integers(0, 2**63)),
+        trajectories=draw(st.integers(1, 4096)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_valid_configs())
+def test_config_text_round_trip_property(cfg):
+    """Every valid config, with dt = 2^-k and whole step counts, survives
+    to_text/parse_config unchanged, and its horizon is n_steps whole steps."""
+    validate(cfg)
+    assert parse_config(to_text(cfg)) == cfg
+    assert cfg.n_steps * cfg.dt == cfg.horizon
+
+
+def test_readme_config_examples_parse():
+    """Every ini block in the README parses; the abridged listing shows defaults."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        assert parse_config(block) == default_config()
 
 
 def test_parse_config_rejects_broken_syntax():

@@ -3,7 +3,9 @@
 The EM step is pinned two ways: bitwise against a hand-assembled composition
 of the public operators (term inventory and order), and against the exact
 pointwise identity for the director magnitude under a pure rotation step.
-Picard windows are checked for contraction, determinism, and cutoff inertness.
+Picard's first sweep is pinned bitwise against the same composition with the
+exact semigroups and an engaged cutoff.  Picard windows are checked for
+contraction, determinism, and cutoff inertness.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from slcsim.config import SimConfig
-from slcsim.fields import State
+from slcsim.fields import State, spectral_summary
 from slcsim.grid import build_grid, divergence
 from slcsim.integrators import (
     StoppingRecord,
@@ -39,6 +41,7 @@ from slcsim.operators import (
     g_cross,
     leray_project,
     semigroup_director,
+    semigroup_velocity_exact,
     semigroup_velocity_step,
     velocity_noise_increment,
 )
@@ -268,6 +271,49 @@ def test_picard_window_converges_with_contracting_distances():
     assert stats.distances[-1] <= stats.distances[0]
 
 
+def test_picard_first_sweep_matches_manual_operator_composition_bitwise():
+    """One sweep is the EM composition with drift and noise at the zeroth
+    iterate (free exact evolution of y0), scaled by the cutoff of that
+    iterate's running path norm, and closed by the exact velocity semigroup."""
+    cfg = _cfg(scheme="picard", horizon=6e-3, max_iterations=1)
+    grid = cfg.grid()
+    cache = _cache(cfg)
+    y0 = initial_state(cfg, grid)
+    n, dt = cfg.n_steps, cfg.dt
+    path = sample_path(3, 0, dt, n, cfg.mode_count)
+
+    zeroth = [(y0.v, y0.d)]
+    for _ in range(n):
+        v, d = zeroth[-1]
+        zeroth.append((semigroup_velocity_exact(grid, v, dt), semigroup_director(grid, d, dt)))
+    xt, sup_sq, int_sq = [], 0.0, 0.0
+    for v, d in zeroth:
+        summ = spectral_summary(State(grid, v, d, 0.0))
+        sup_sq = max(sup_sq, summ["v_norm"] * summ["v_norm"])
+        xt.append(float(np.sqrt(sup_sq + int_sq)))
+        int_sq += summ["e_norm"] * summ["e_norm"] * dt
+    # a radius inside the path norm, so the cutoff scales the later nodes
+    cfg = dataclasses.replace(cfg, truncation_radius=0.75 * xt[-1])
+
+    nodes, stats = picard_solve(cache, cfg, y0, path, 0, n)
+
+    assert stats.iterations == 1 and stats.min_theta < 1.0
+    v, d = y0.v, y0.d
+    for j in range(n):
+        pv, pd = zeroth[j]
+        theta = theta_cutoff(xt[j], cfg.truncation_radius)
+        dv = -leray_project(grid, b1(grid, pv, pv) + ericksen_divergence(grid, pd, pd))
+        dd = -assemble_L(cache, pd)
+        dd = dd - b2(grid, pv, pd)
+        dd = dd - f_penalty(pd, cache.eps)
+        d_star = d + theta * dt * dd + theta * director_noise_increment(cache, pd, path.w2(j))
+        v_star = v + theta * dt * dv + theta * velocity_noise_increment(cache, pv, path.w1(j))
+        d = semigroup_director(grid, d_star, dt)
+        v = semigroup_velocity_exact(grid, v_star, dt)
+        assert np.array_equal(nodes[j + 1].d, d), j
+        assert np.array_equal(nodes[j + 1].v, v), j
+
+
 def test_picard_window_is_deterministic():
     cfg = _cfg(scheme="picard", horizon=4e-3)
     cache = _cache(cfg)
@@ -343,14 +389,16 @@ def test_trajectory_weight_series_starts_at_one_and_never_increases():
 
 
 def test_trajectory_stops_at_first_crossing_of_last_threshold():
-    cfg = _cfg(thresholds=(1e-12,), record_every=5)
-    rec = run_trajectory(cfg)
-    assert rec.status == "stopped_at_tau"
-    assert rec.stopping.halted
-    assert rec.stopping.hits[1e-12] == 0.0   # nonzero initial data crosses at t = 0
-    assert rec.steps_completed == 1
-    # the halt row is forced into the record even off-cadence
-    np.testing.assert_allclose(rec.times, [0.0, cfg.dt])
+    # both schemes share the stopping rule: the crossing at t = 0 still takes one step
+    for scheme in ("em", "picard"):
+        cfg = _cfg(thresholds=(1e-12,), record_every=5, scheme=scheme, window=4e-3)
+        rec = run_trajectory(cfg)
+        assert rec.status == "stopped_at_tau", scheme
+        assert rec.stopping.halted
+        assert rec.stopping.hits[1e-12] == 0.0   # nonzero initial data crosses at t = 0
+        assert rec.steps_completed == 1, scheme
+        # the halt row is forced into the record even off-cadence
+        np.testing.assert_allclose(rec.times, [0.0, cfg.dt])
 
 
 def test_trajectory_logs_lower_thresholds_without_halting():
