@@ -119,6 +119,8 @@ def _traj_summary(rec: TrajectoryRecord) -> dict:
                 "iterations": w.iterations,
                 "converged": w.converged,
                 "min_theta": _fmt(w.min_theta),
+                "distances": [_fmt(x) for x in w.distances],
+                "ratios": [_fmt(x) for x in w.ratios],
             }
             for w in rec.windows
         ],

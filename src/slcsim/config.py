@@ -93,7 +93,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.horizon / self.dt)))
+        return _step_count(self.horizon, self.dt, "horizon")
 
 
 _SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
@@ -199,13 +199,15 @@ def parse_config_file(path) -> SimConfig:
         return parse_config(f.read())
 
 
-def _whole_steps(ratio: float) -> bool:
-    """A span/dt ratio that is an integer >= 1 up to rounding: 0.1/0.004 is
-    25.000000000000004, so 1e-9 relative slack is allowed."""
-    if not math.isfinite(ratio):
-        return False
-    n = round(ratio)
-    return n >= 1 and abs(ratio - n) <= 1e-9 * n
+def _step_count(span: float, dt: float, name: str) -> int:
+    """span/dt as a whole number of steps >= 1, or ConfigError.  The ratio may
+    miss an integer by rounding (0.1/0.004 is 25.000000000000004), so 1e-9
+    relative slack is allowed."""
+    ratio = span / dt
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * n:
+        raise ConfigError(f"{name}/dt must be an integer >= 1, got {ratio!r}")
+    return n
 
 
 def validate(cfg: SimConfig) -> None:
@@ -222,8 +224,11 @@ def validate(cfg: SimConfig) -> None:
         errors.append(f"dt must be positive, got {cfg.dt}")
     if not cfg.horizon > 0.0:
         errors.append(f"horizon must be positive, got {cfg.horizon}")
-    elif cfg.dt > 0.0 and not _whole_steps(cfg.horizon / cfg.dt):
-        errors.append(f"horizon/dt must be an integer >= 1, got {cfg.horizon / cfg.dt!r}")
+    elif cfg.dt > 0.0:
+        try:
+            _step_count(cfg.horizon, cfg.dt, "horizon")
+        except ConfigError as exc:
+            errors.append(str(exc))
     if cfg.scheme not in ("em", "picard"):
         errors.append(f"scheme must be em or picard, got {cfg.scheme!r}")
     if not cfg.eps > 0.0:
@@ -248,8 +253,11 @@ def validate(cfg: SimConfig) -> None:
         errors.append("velocity_amplitude must be nonnegative")
     if not cfg.window > 0.0:
         errors.append(f"picard window must be positive, got {cfg.window}")
-    elif cfg.scheme == "picard" and cfg.dt > 0.0 and not _whole_steps(cfg.window / cfg.dt):
-        errors.append(f"picard window/dt must be an integer >= 1, got {cfg.window / cfg.dt!r}")
+    elif cfg.scheme == "picard" and cfg.dt > 0.0:
+        try:
+            _step_count(cfg.window, cfg.dt, "picard window")
+        except ConfigError as exc:
+            errors.append(str(exc))
     if not cfg.tolerance > 0.0:
         errors.append("picard tolerance must be positive")
     if cfg.max_iterations < 1:

@@ -11,6 +11,7 @@ mesh-dependent equivalence factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,6 +178,30 @@ def gn_linf_ratio(grid: Grid, u: np.ndarray) -> float:
 # random smooth fields (grid-independent continuum functions)
 # ---------------------------------------------------------------------------
 
+_MODES = 6
+_WAVES = {"dirichlet": np.sin, "neumann": np.cos}
+
+
+@lru_cache(maxsize=32)
+def _mode_tables(grid: Grid, bc_kind: str) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Per axis, the (6, n_ax) table wave(k pi x / L) for k = 1..6 at the cell
+    centers, and the weights |k|^2 of the series terms in ``np.ndindex`` order.
+    Built once per (grid, bc_kind); the tables are read-only."""
+    wave = _WAVES[bc_kind]
+    k = np.arange(1, _MODES + 1)
+    tables = []
+    for ax in range(grid.n_dim):
+        table = wave(k[:, None] * np.pi * grid.axis_centers(ax) / grid.lengths[ax])
+        table.setflags(write=False)
+        tables.append(table)
+    weights = np.array(
+        [float(np.sum((np.asarray(idx) + 1.0) ** 2))
+         for idx in np.ndindex(*(_MODES,) * grid.n_dim)]
+    )
+    weights.setflags(write=False)
+    return tuple(tables), weights
+
+
 def random_smooth_scalar(
     grid: Grid, seed: int, bc_kind: str = "dirichlet", amplitude: float = 1.0
 ) -> np.ndarray:
@@ -185,18 +210,20 @@ def random_smooth_scalar(
 
     The coefficients depend only on the seed, so refining the grid samples
     the *same* continuum function — exactly what refinement probes need.
+    Each term c * f_0(x_0) * ... * f_{n-1}(x_{n-1}) is an outer product of
+    cached 1D factors, multiplied left to right and summed in ``np.ndindex``
+    order, which is the arithmetic of the full-grid evaluation bit for bit.
     """
-    rng = np.random.default_rng(seed)
-    coords = grid.meshgrid()
-    wave = np.sin if bc_kind == "dirichlet" else np.cos
+    if bc_kind not in _WAVES:
+        raise ValueError(f"unknown bc_kind {bc_kind!r}")
+    tables, weights = _mode_tables(grid, bc_kind)
+    coeffs = np.random.default_rng(seed).standard_normal(weights.size) / weights
     out = np.zeros(grid.cells)
-    for idx in np.ndindex(*(6,) * grid.n_dim):
-        k = np.asarray(idx) + 1
-        c = rng.standard_normal() / float(np.sum(k.astype(float) ** 2))
-        term = c
-        for ax in range(grid.n_dim):
-            term = term * wave(k[ax] * np.pi * coords[ax] / grid.lengths[ax])
-        out = out + term
+    for c, idx in zip(coeffs, np.ndindex(*(_MODES,) * grid.n_dim)):
+        term = c * tables[0][idx[0]]
+        for ax in range(1, grid.n_dim):
+            term = term[..., None] * tables[ax][idx[ax]]
+        out += term
     peak = float(np.max(np.abs(out)))
     return amplitude * out / peak if peak > 0 else out
 

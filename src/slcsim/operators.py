@@ -160,14 +160,14 @@ def ericksen_divergence(grid: Grid, da: np.ndarray, db: np.ndarray) -> np.ndarra
     Ghost parity tracks the even/odd extension of each tensor entry: entries
     with one normal-derivative factor flip sign across that boundary.
     """
-    ga = np.stack(
-        [np.stack([centered_diff(grid, da[k], i, 1.0) for k in range(3)])
-         for i in range(grid.n_dim)]
-    )
-    gb = np.stack(
-        [np.stack([centered_diff(grid, db[k], j, 1.0) for k in range(3)])
-         for j in range(grid.n_dim)]
-    )
+    def grads(d: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [np.stack([centered_diff(grid, d[k], i, 1.0) for k in range(3)])
+             for i in range(grid.n_dim)]
+        )
+
+    ga = grads(da)
+    gb = ga if db is da else grads(db)
     T = np.einsum("ik...,jk...->ij...", ga, gb)
     out = np.zeros((grid.n_dim, *grid.cells))
     for i in range(grid.n_dim):

@@ -25,6 +25,7 @@ from slcsim.config import SimConfig, default_config, parse_config, to_text, vali
 from slcsim.diagnostics import ProbeResult
 from slcsim.errors import ConfigError
 from slcsim.fields import read_snapshot
+from slcsim.integrators import run_trajectory
 
 SERIES_KEYS = [
     "l2_v", "l2_d", "a_half_v", "a_v", "h2_d", "lap_d", "x1_d", "grad_d",
@@ -133,6 +134,15 @@ def test_validate_accepts_step_counts_up_to_rounding():
     assert SimConfig(dt=0.004, horizon=0.1).n_steps == 25
 
 
+def test_config_built_in_python_never_rounds_its_step_count():
+    # 0.0625 / 0.001 is 62.5 steps; validate is not called on this path
+    cfg = SimConfig(cells=(16, 16), horizon=0.0625, mode_count=8)
+    with pytest.raises(ConfigError, match="horizon/dt must be an integer >= 1, got 62.5"):
+        cfg.n_steps
+    with pytest.raises(ConfigError):
+        run_trajectory(cfg)
+
+
 @st.composite
 def _valid_configs(draw):
     n_dim = draw(st.sampled_from([2, 3]))
@@ -223,6 +233,22 @@ def test_run_writes_manifest_series_and_summary(tmp_path, capsys):
     assert summary["status"] == "completed"
     assert summary["steps_completed"] == 5
     assert "trajectory 0: completed" in capsys.readouterr().out
+
+
+def test_picard_run_reports_each_window_distances_and_ratios(tmp_path):
+    cfg_path = _write_config(tmp_path, SMALL + "\n[picard]\nwindow = 0.002\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--scheme", "picard",
+                 "--out", str(out)]) == 0
+    windows = json.loads((out / "run.json").read_text())["windows"]
+    assert len(windows) == 3                 # 2 + 2 + 1 of the 5 steps
+    for w in windows:
+        distances = [float(x) for x in w["distances"]]
+        ratios = [float(x) for x in w["ratios"]]
+        assert w["converged"] and len(distances) == w["iterations"] >= 2
+        # the strings round-trip, so each ratio is the quotient of its distances
+        assert ratios == [b / a for a, b in zip(distances, distances[1:])]
+        assert all(0.0 <= r < 1.0 for r in ratios)
 
 
 def test_run_is_byte_deterministic(tmp_path):

@@ -39,6 +39,7 @@ from slcsim.diagnostics import (
     richardson_order,
     young_constant,
 )
+from slcsim.diagnostics import _mode_tables
 
 G16 = build_grid(2, (16, 16), (1.0, 1.0))
 G32 = build_grid(2, (32, 32), (1.0, 1.0))
@@ -218,6 +219,50 @@ def test_random_smooth_scalar_is_deterministic_and_peak_normalized():
     again = random_smooth_scalar(G32, seed=3, amplitude=1.7)
     assert np.array_equal(u, again)
     assert float(np.max(np.abs(u))) == pytest.approx(1.7, rel=1e-14)
+
+
+def _full_grid_series(grid, seed, bc_kind, amplitude):
+    """The series evaluated term by term on the whole grid: one scalar draw per
+    np.ndindex term, full-grid sin/cos factors, products taken left to right."""
+    rng = np.random.default_rng(seed)
+    coords = grid.meshgrid()
+    wave = np.sin if bc_kind == "dirichlet" else np.cos
+    out = np.zeros(grid.cells)
+    for idx in np.ndindex(*(6,) * grid.n_dim):
+        k = np.asarray(idx) + 1
+        term = rng.standard_normal() / float(np.sum(k.astype(float) ** 2))
+        for ax in range(grid.n_dim):
+            term = term * wave(k[ax] * np.pi * coords[ax] / grid.lengths[ax])
+        out = out + term
+    return amplitude * out / float(np.max(np.abs(out)))
+
+
+@pytest.mark.parametrize("grid", [
+    G32,
+    build_grid(2, (16, 64), (1.0, 2.5)),
+    build_grid(3, (8, 8, 16), (1.0, 1.0, 2.0)),
+], ids=["square", "box", "3d"])
+@pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann"])
+def test_random_smooth_scalar_matches_full_grid_series_bitwise(grid, bc_kind):
+    for seed in (0, 7, 1234):
+        for amplitude in (1.0, 0.5):
+            expected = _full_grid_series(grid, seed, bc_kind, amplitude)
+            got = random_smooth_scalar(grid, seed, bc_kind, amplitude)
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_random_smooth_tables_are_read_only_and_bc_kind_is_checked():
+    tables, weights = _mode_tables(G32, "neumann")
+    assert [t.shape for t in tables] == [(6, 32), (6, 32)] and weights.shape == (36,)
+    for arr in (*tables, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert _mode_tables(G32, "neumann") is _mode_tables(G32, "neumann")
+    for bad in ("dirichelt", "Neumann", "periodic"):
+        with pytest.raises(ValueError, match="unknown bc_kind"):
+            random_smooth_scalar(G32, 0, bc_kind=bad)
+        with pytest.raises(ValueError, match="unknown bc_kind"):
+            random_smooth_vector(G32, 0, 3, bc_kind=bad)
 
 
 def test_random_smooth_scalar_samples_one_continuum_function():
