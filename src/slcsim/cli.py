@@ -108,7 +108,7 @@ def _write_series_csv(path: Path, rec: TrajectoryRecord) -> None:
 
 
 def _traj_summary(rec: TrajectoryRecord) -> dict:
-    return {
+    summary = {
         "trajectory": rec.trajectory,
         "status": rec.status,
         "steps_completed": rec.steps_completed,
@@ -125,6 +125,10 @@ def _traj_summary(rec: TrajectoryRecord) -> dict:
             for w in rec.windows
         ],
     }
+    if rec.non_finite:
+        summary["failure"] = {"step": rec.steps_completed, "time": _fmt(rec.terminal.t),
+                              "fields": list(rec.non_finite)}
+    return summary
 
 
 def _snapshot_sink(out: Path, tag: str):

@@ -171,25 +171,17 @@ def inverse_sine_transform(grid: Grid, coeff: np.ndarray) -> np.ndarray:
 # difference operators
 # ---------------------------------------------------------------------------
 
-def _axis_index(grid: Grid, arr: np.ndarray, axis: int) -> int:
-    return arr.ndim - grid.n_dim + axis
-
-
-def _ghost(arr: np.ndarray, ax: int, side: int, parity: float) -> np.ndarray:
-    # side=0: ghost before the first cell; side=-1: after the last.
-    edge = np.take(arr, [0 if side == 0 else -1], axis=ax)
-    return parity * edge
-
-
 def centered_diff(grid: Grid, arr: np.ndarray, axis: int, parity: float) -> np.ndarray:
     """(u[j+1]-u[j-1])/2h with parity ghosts on both ends."""
-    ax = _axis_index(grid, arr, axis)
-    padded = np.concatenate(
-        [_ghost(arr, ax, 0, parity), arr, _ghost(arr, ax, -1, parity)], axis=ax
-    )
-    lo = np.take(padded, range(0, arr.shape[ax]), axis=ax)
-    hi = np.take(padded, range(2, arr.shape[ax] + 2), axis=ax)
-    return (hi - lo) / (2.0 * grid.spacings[axis])
+    ax = arr.ndim - grid.n_dim + axis
+    out = np.empty(arr.shape)
+    # views with the difference axis first; each ghost is parity * its edge cell
+    u, du = arr.swapaxes(ax, 0), out.swapaxes(ax, 0)
+    np.subtract(u[2:], u[:-2], out=du[1:-1])
+    np.subtract(u[1], parity * u[0], out=du[0])
+    np.subtract(parity * u[-1], u[-2], out=du[-1])
+    out /= 2.0 * grid.spacings[axis]
+    return out
 
 
 def centered_gradient(grid: Grid, u: np.ndarray, bc_kind: str) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SimConfig
+from .config import SimConfig, _step_count
 from .diagnostics import max_principle_gap, penalty_energy, phi_rate, psi_functional
 from .fields import State, spectral_summary
 from .grid import Grid
@@ -289,6 +289,7 @@ class TrajectoryRecord:
     steps_completed: int
     terminal: State
     windows: list[WindowStats] = field(default_factory=list)
+    non_finite: tuple[str, ...] = ()  # terminal-state fields that are not finite
 
 
 _SERIES_KEYS = (
@@ -413,7 +414,8 @@ def run_trajectory(
     """Integrate one trajectory to the horizon or a stopping event.
 
     snapshot_sink, when given, is called as sink(step_index, state) at the
-    configured snapshot cadence (and for the initial state).
+    configured snapshot cadence (and for the initial state).  Under Picard a
+    window that is not a whole number of steps raises ConfigError.
     """
     grid = cfg.grid()
     cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)
@@ -427,7 +429,7 @@ def run_trajectory(
     loop = _NodeLoop(cfg, cache, path, trajectory, snapshot_sink)
     window_stats: list[WindowStats] = []
     if cfg.scheme == "picard":
-        n_win = max(1, int(round(cfg.window / dt)))
+        n_win = _step_count(cfg.window, dt, "picard window")
         while loop.steps < n_steps and loop.status == "completed":
             take = min(n_win, n_steps - loop.steps)
             nodes, stats = picard_solve(cache, cfg, loop.state, path, loop.steps, take)
@@ -452,4 +454,5 @@ def run_trajectory(
         steps_completed=loop.steps,
         terminal=loop.state,
         windows=window_stats,
+        non_finite=tuple(k for k in ("v", "d") if not np.all(np.isfinite(getattr(loop.state, k)))),
     )

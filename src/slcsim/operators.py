@@ -65,9 +65,8 @@ def pressure_of(grid: Grid, F: np.ndarray) -> np.ndarray:
     rhs_hat = cosine_transform(grid, rhs)
     sym = grid.spectrum().projection_symbol
     p_hat = np.zeros_like(rhs_hat)
-    mask = sym > 0.0
     # centered-div o centered-grad acts as -projection_symbol on cosine modes
-    p_hat[mask] = -rhs_hat[mask] / sym[mask]
+    np.divide(-rhs_hat, sym, out=p_hat, where=sym > 0.0)
     return inverse_cosine_transform(grid, p_hat)
 
 
@@ -131,12 +130,9 @@ def _flux_divergence(grid: Grid, u_comp: np.ndarray, c: np.ndarray, axis: int) -
 
 
 def _transport(grid: Grid, u: np.ndarray, carried: np.ndarray) -> np.ndarray:
-    out = np.empty_like(carried)
-    for k in range(carried.shape[0]):
-        acc = _flux_divergence(grid, u[0], carried[k], 0)
-        for a in range(1, grid.n_dim):
-            acc += _flux_divergence(grid, u[a], carried[k], a)
-        out[k] = acc
+    out = _flux_divergence(grid, u[0][None], carried, 0)
+    for a in range(1, grid.n_dim):
+        out += _flux_divergence(grid, u[a][None], carried, a)
     return out
 
 
@@ -160,14 +156,8 @@ def ericksen_divergence(grid: Grid, da: np.ndarray, db: np.ndarray) -> np.ndarra
     Ghost parity tracks the even/odd extension of each tensor entry: entries
     with one normal-derivative factor flip sign across that boundary.
     """
-    def grads(d: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [np.stack([centered_diff(grid, d[k], i, 1.0) for k in range(3)])
-             for i in range(grid.n_dim)]
-        )
-
-    ga = grads(da)
-    gb = ga if db is da else grads(db)
+    ga = centered_gradient(grid, da, "neumann")  # (i, k, ...) = di(da_k)
+    gb = ga if db is da else centered_gradient(grid, db, "neumann")
     T = np.einsum("ik...,jk...->ij...", ga, gb)
     out = np.zeros((grid.n_dim, *grid.cells))
     for i in range(grid.n_dim):
@@ -195,13 +185,18 @@ def f_penalty(d: np.ndarray, eps: float = 1.0) -> np.ndarray:
 
 
 def g_cross(d: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """d x h, pointwise; always three components."""
-    return np.cross(d, h, axis=0)
+    """d x h, pointwise; always three components.  Each component is
+    d_i h_j - d_j h_i, evaluated as np.cross does."""
+    out = np.empty(np.broadcast_shapes(d.shape, h.shape))
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(d[i], h[j], out=out[c])
+        out[c] -= d[j] * h[i]
+    return out
 
 
 def g2_cross(d: np.ndarray, h: np.ndarray) -> np.ndarray:
     """(d x h) x h, the squared rotation generator."""
-    return np.cross(np.cross(d, h, axis=0), h, axis=0)
+    return g_cross(g_cross(d, h), h)
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,10 @@ def test_config_built_in_python_never_rounds_its_step_count():
         cfg.n_steps
     with pytest.raises(ConfigError):
         run_trajectory(cfg)
+    # 0.0035 / 0.001 is 3.5 steps per Picard window
+    cfg = SimConfig(cells=(16, 16), horizon=0.012, mode_count=8, scheme="picard", window=0.0035)
+    with pytest.raises(ConfigError, match="picard window/dt must be an integer >= 1, got 3.5"):
+        run_trajectory(cfg)
 
 
 @st.composite
@@ -240,7 +244,9 @@ def test_picard_run_reports_each_window_distances_and_ratios(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--scheme", "picard",
                  "--out", str(out)]) == 0
-    windows = json.loads((out / "run.json").read_text())["windows"]
+    summary = json.loads((out / "run.json").read_text())
+    assert "failure" not in summary          # written for failed trajectories only
+    windows = summary["windows"]
     assert len(windows) == 3                 # 2 + 2 + 1 of the 5 steps
     for w in windows:
         distances = [float(x) for x in w["distances"]]
@@ -400,10 +406,17 @@ def test_non_finite_trajectories_exit_three(tmp_path):
             code_ens = main(["ensemble", "--config", str(cfg_path), "--trajectories", "2",
                              "--out", str(tmp_path / "e")])
     assert code_run == 3
-    assert json.loads((tmp_path / "r" / "run.json").read_text())["status"] == "numerical_failure"
+    run = json.loads((tmp_path / "r" / "run.json").read_text())
+    assert run["status"] == "numerical_failure"
     assert code_ens == 3
     report = json.loads((tmp_path / "e" / "ensemble.json").read_text())
     assert report["statuses"] == ["numerical_failure"]
+    # the node that went non-finite: its step, its time (dt = 1) and its fields
+    for summary in [run, *report["trajectories"]]:
+        failure = summary["failure"]
+        assert failure["step"] == summary["steps_completed"]
+        assert float(failure["time"]) == failure["step"]
+        assert failure["fields"] in (["v"], ["d"], ["v", "d"])
 
 
 def test_describe_config_output_parses_back(capsys):

@@ -16,6 +16,7 @@ from slcsim.grid import (
     inverse_cosine_transform,
     sine_transform,
     inverse_sine_transform,
+    centered_diff,
     centered_gradient,
     divergence,
 )
@@ -267,3 +268,41 @@ def test_laplacian_3d_smoke():
     sym = g.spectrum().projection_symbol[1, 0, 0]
     resid = _wide_laplacian(g, u) + sym * u
     assert np.max(np.abs(resid)) <= 1e-10
+
+
+def _signed_zeros(rng, shape):
+    """Normal samples with runs of exact +0.0 and -0.0, so that a stencil that
+    flips the sign of a zero result changes the bytes."""
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.3] = 0.0
+    a[rng.random(shape) < 0.1] = -0.0
+    return a
+
+
+def _centered_diff_by_padding(g, arr, axis, parity):
+    """The stencil written out: pad with parity ghosts, then take hi - lo."""
+    ax = arr.ndim - g.n_dim + axis
+    n = arr.shape[ax]
+    ghost_lo = parity * np.take(arr, [0], axis=ax)
+    ghost_hi = parity * np.take(arr, [n - 1], axis=ax)
+    padded = np.concatenate([ghost_lo, arr, ghost_hi], axis=ax)
+    lo = np.take(padded, range(0, n), axis=ax)
+    hi = np.take(padded, range(2, n + 2), axis=ax)
+    return (hi - lo) / (2.0 * g.spacings[axis])
+
+
+@pytest.mark.parametrize(
+    "cells,lengths",
+    [((4, 8), (1.0, 0.7)), ((16, 16), (1.0, 1.0)), ((8, 4, 16), (1.0, 2.0, 0.5))],
+)
+def test_centered_diff_matches_padded_stencil_bitwise(cells, lengths):
+    g = build_grid(len(cells), cells, lengths)
+    rng = np.random.default_rng(24)
+    for lead in [(), (3,), (2, 3)]:
+        u = _signed_zeros(rng, lead + cells)
+        for axis in range(g.n_dim):
+            for parity in (1.0, -1.0):
+                fast = centered_diff(g, u, axis, parity)
+                slow = _centered_diff_by_padding(g, u, axis, parity)
+                assert fast.shape == slow.shape and fast.dtype == slow.dtype
+                assert fast.tobytes() == slow.tobytes(), (lead, axis, parity)

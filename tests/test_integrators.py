@@ -428,7 +428,7 @@ def test_trajectory_reports_numerical_failure_and_cfl_warning(caplog):
 def test_picard_trajectory_warns_on_advective_cfl(caplog):
     # the exact semigroups keep this run finite, but the CFL number of the
     # initial vortex is far above one, and Picard runs the same check as EM
-    cfg = _cfg(scheme="picard", dt=1.0, horizon=3.0, velocity_amplitude=1e4,
+    cfg = _cfg(scheme="picard", dt=1.0, horizon=3.0, window=1.0, velocity_amplitude=1e4,
                thresholds=(float("inf"),), max_iterations=3)
     with caplog.at_level(logging.WARNING, logger="slcsim.integrators"):
         with warnings.catch_warnings():
@@ -459,6 +459,7 @@ def test_picard_numerical_failure_keeps_the_non_finite_node(monkeypatch):
     assert rec.steps_completed == 6
     assert not np.all(np.isfinite(rec.terminal.v))
     np.testing.assert_allclose(rec.times, cfg.dt * np.arange(6))  # none for the bad node
+    assert rec.non_finite == ("v",)
 
 
 def test_trajectory_snapshot_sink_follows_configured_cadence():
@@ -477,6 +478,7 @@ def test_trajectory_picard_scheme_reports_window_stats():
     cfg = _cfg(scheme="picard", horizon=16e-3, window=4e-3)
     rec = run_trajectory(cfg)
     assert rec.status == "completed"
+    assert rec.non_finite == ()
     assert rec.steps_completed == 16
     assert len(rec.windows) == 4
     assert all(w.converged for w in rec.windows)

@@ -10,11 +10,18 @@ import pytest
 
 from slcsim.errors import ConfigError, DomainError
 from slcsim.fields import h_norm, l2_norm, stokes_half_norm
-from slcsim.grid import build_grid, centered_gradient, divergence
+from slcsim.grid import (
+    build_grid,
+    centered_gradient,
+    cosine_transform,
+    divergence,
+    inverse_cosine_transform,
+)
 from slcsim.operators import (
     MagneticFieldSpec,
     NoiseCoefficientSpec,
     OperatorCache,
+    _flux_divergence,
     assemble_L,
     b1,
     b2,
@@ -39,6 +46,23 @@ G = build_grid(2, (32, 32), (1.0, 1.0))
 def _rand_vec(seed, comps=2, grid=G):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((comps, *grid.cells))
+
+
+def _signed_zeros(seed, comps, grid=G):
+    """A random field with runs of exact +0.0 and -0.0, so that a kernel that
+    flips the sign of a zero result changes the bytes."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((comps, *grid.cells))
+    a[rng.random(a.shape) < 0.3] = 0.0
+    a[rng.random(a.shape) < 0.1] = -0.0
+    return a
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+G3 = build_grid(3, (8, 4, 16), (1.0, 2.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +100,39 @@ def test_pressure_is_mean_free():
     assert abs(np.sum(p) * G.cell_volume) <= 1e-12
 
 
+@pytest.mark.parametrize("grid", [G, G3])
+def test_pressure_matches_masked_solve_bitwise(grid):
+    F = _signed_zeros(30, grid.n_dim, grid)
+    rhs_hat = cosine_transform(grid, divergence(grid, F, "dirichlet"))
+    sym = grid.spectrum().projection_symbol
+    p_hat = np.zeros_like(rhs_hat)
+    mask = sym > 0.0
+    p_hat[mask] = -rhs_hat[mask] / sym[mask]
+    assert _same_bytes(pressure_of(grid, F), inverse_cosine_transform(grid, p_hat))
+
+
 # ---------------------------------------------------------------------------
 # advection cancellations
 # ---------------------------------------------------------------------------
+
+def _transport_per_component(grid, u, carried):
+    out = np.empty_like(carried)
+    for k in range(carried.shape[0]):
+        acc = _flux_divergence(grid, u[0], carried[k], 0)
+        for a in range(1, grid.n_dim):
+            acc += _flux_divergence(grid, u[a], carried[k], a)
+        out[k] = acc
+    return out
+
+
+@pytest.mark.parametrize("grid", [G, G3])
+def test_transport_matches_per_component_loop_bitwise(grid):
+    u = _signed_zeros(31, grid.n_dim, grid)
+    v = _signed_zeros(32, grid.n_dim, grid)
+    d = _signed_zeros(33, 3, grid)
+    assert _same_bytes(b1(grid, u, v), _transport_per_component(grid, u, v))
+    assert _same_bytes(b2(grid, u, d), _transport_per_component(grid, u, d))
+
 
 def test_b1_energy_neutral_for_solenoidal_carrier():
     for seed in range(20):
@@ -222,6 +276,15 @@ def test_g2_is_iterated_cross_and_orthogonal():
     assert np.array_equal(g2_cross(d, h), g_cross(g_cross(d, h), h))
     # d . (d x h) = 0 pointwise
     assert np.max(np.abs(np.sum(d * g_cross(d, h), axis=0))) <= 1e-13
+
+
+def test_cross_products_match_numpy_cross_bitwise():
+    d = _signed_zeros(71, 3)
+    for h in (_signed_zeros(72, 3), MagneticFieldSpec().build(G)):
+        assert _same_bytes(g_cross(d, h), np.cross(d, h, axis=0))
+        assert _same_bytes(
+            g2_cross(d, h), np.cross(np.cross(d, h, axis=0), h, axis=0)
+        )
 
 
 # ---------------------------------------------------------------------------
