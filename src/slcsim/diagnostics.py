@@ -10,6 +10,7 @@ mesh-dependent equivalence factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,13 +19,12 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .fields import (
     State,
-    e_norm,
     h_norm,
     grad_seminorm,
     l2_norm,
     l4_norm,
     linf_norm,
-    v_norm,
+    spectral_summary,
 )
 from .grid import Grid, build_grid, centered_gradient, cosine_transform
 from .grid import inverse_cosine_transform
@@ -124,9 +124,12 @@ def lipschitz_probe_F(y1: State, y2: State) -> float:
     grid = y1.grid
     a = grid.n_dim / 4.0
     diff = State(grid, y1.v - y2.v, y1.d - y2.d, y1.t)
-    dv = v_norm(diff)
+    s_diff = spectral_summary(diff)
+    dv = s_diff["v_norm"]
     if dv == 0.0 and l2_norm(grid, diff.d) == 0.0:
         raise DomainError("identical states give an undefined ratio")
+    s1 = spectral_summary(y1)
+    s2 = spectral_summary(y2)
     # the drift without its Ito correction is -F, and F(y1) - F(y2) is the
     # exact negation of the drift difference, so the norms agree bit for bit
     dv1, dd1 = drift(grid, y1.v, y1.d, 1.0)
@@ -135,8 +138,8 @@ def lipschitz_probe_F(y1: State, y2: State) -> float:
         l2_norm(grid, dv1 - dv2) ** 2 + h_norm(grid, dd1 - dd2, 1, "neumann") ** 2
     )
     bracket = (
-        v_norm(y1) ** (1.0 - a) * e_norm(y1) ** a
-        + e_norm(diff) ** a * dv ** (-a) * v_norm(y2)
+        s1["v_norm"] ** (1.0 - a) * s1["e_norm"] ** a
+        + s_diff["e_norm"] ** a * dv ** (-a) * s2["v_norm"]
         + 1.0
     )
     return float(num / (dv * bracket))
@@ -180,26 +183,28 @@ def gn_linf_ratio(grid: Grid, u: np.ndarray) -> float:
 
 _MODES = 6
 _WAVES = {"dirichlet": np.sin, "neumann": np.cos}
+# Bytes of series terms materialized at once: the first axis is cut into slabs
+# this size, so a call's temporaries stay O(grid) (every probe grid is one slab).
+_SLAB_BYTES = 4 << 20
 
 
 @lru_cache(maxsize=32)
 def _mode_tables(grid: Grid, bc_kind: str) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Per axis, the (6, n_ax) table wave(k pi x / L) for k = 1..6 at the cell
-    centers, and the weights |k|^2 of the series terms in ``np.ndindex`` order.
-    Built once per (grid, bc_kind); the tables are read-only."""
+    """Per axis, the (6^n, n_ax) rows wave(k_ax pi x / L) of the series terms
+    in ``np.ndindex`` order at the cell centers, and the weights |k|^2 of the
+    same terms.  Built once per (grid, bc_kind); the arrays are read-only."""
     wave = _WAVES[bc_kind]
     k = np.arange(1, _MODES + 1)
-    tables = []
+    idx = np.array(list(np.ndindex(*(_MODES,) * grid.n_dim)))
+    rows = []
     for ax in range(grid.n_dim):
         table = wave(k[:, None] * np.pi * grid.axis_centers(ax) / grid.lengths[ax])
-        table.setflags(write=False)
-        tables.append(table)
-    weights = np.array(
-        [float(np.sum((np.asarray(idx) + 1.0) ** 2))
-         for idx in np.ndindex(*(_MODES,) * grid.n_dim)]
-    )
+        row = table[idx[:, ax]]
+        row.setflags(write=False)
+        rows.append(row)
+    weights = np.sum((idx + 1.0) ** 2, axis=1)
     weights.setflags(write=False)
-    return tuple(tables), weights
+    return tuple(rows), weights
 
 
 def random_smooth_scalar(
@@ -211,19 +216,22 @@ def random_smooth_scalar(
     The coefficients depend only on the seed, so refining the grid samples
     the *same* continuum function — exactly what refinement probes need.
     Each term c * f_0(x_0) * ... * f_{n-1}(x_{n-1}) is an outer product of
-    cached 1D factors, multiplied left to right and summed in ``np.ndindex``
-    order, which is the arithmetic of the full-grid evaluation bit for bit.
+    cached 1D factors, multiplied left to right; one ordered reduction per
+    slab of the first axis adds the terms to 0.0 in ``np.ndindex`` order,
+    which is the arithmetic of the full-grid evaluation bit for bit.
     """
     if bc_kind not in _WAVES:
         raise ValueError(f"unknown bc_kind {bc_kind!r}")
-    tables, weights = _mode_tables(grid, bc_kind)
+    rows, weights = _mode_tables(grid, bc_kind)
     coeffs = np.random.default_rng(seed).standard_normal(weights.size) / weights
-    out = np.zeros(grid.cells)
-    for c, idx in zip(coeffs, np.ndindex(*(_MODES,) * grid.n_dim)):
-        term = c * tables[0][idx[0]]
-        for ax in range(1, grid.n_dim):
-            term = term[..., None] * tables[ax][idx[ax]]
-        out += term
+    lead = coeffs[:, None] * rows[0]
+    out = np.empty(grid.cells)
+    slab = max(1, _SLAB_BYTES // (8 * weights.size * math.prod(grid.cells[1:])))
+    for lo in range(0, grid.cells[0], slab):
+        terms = lead[:, lo:lo + slab]
+        for row in rows[1:]:
+            terms = np.einsum("m...,mz->m...z", terms, row)
+        np.add.reduce(terms, axis=0, initial=0.0, out=out[lo:lo + slab])
     peak = float(np.max(np.abs(out)))
     return amplitude * out / peak if peak > 0 else out
 
@@ -350,9 +358,10 @@ def contraction_slopes(cfg, windows) -> tuple[float, list[float]]:
     """Picard contraction factor versus window length, on the first window.
 
     Returns the log-log slope of the per-window mean contraction ratio
-    against the window length, together with the measured ratios.  The
-    step size is refined so even the shortest window holds >= 64 steps;
-    otherwise quadrature error masks the continuum scaling of the factor.
+    against the integrated window length (whole steps of the refined dt),
+    together with the measured ratios.  The step size is refined so even the
+    shortest window holds >= 64 steps; otherwise quadrature error masks the
+    continuum scaling of the factor.
     """
     from .integrators import initial_state, picard_solve
     from .noise import sample_path
@@ -363,15 +372,17 @@ def contraction_slopes(cfg, windows) -> tuple[float, list[float]]:
     y0 = initial_state(cfg, grid)
     dt = min(cfg.dt, min(windows) / 64.0)
     ratios = []
+    lengths = []
     for w in windows:
         n_win = max(2, int(round(w / dt)))
+        lengths.append(n_win * dt)
         path = sample_path(cfg.seed, 0, dt, n_win, cfg.mode_count)
         _, stats = picard_solve(cache, cfg, y0, path, 0, n_win)
         usable = [r for r, dist in zip(stats.ratios, stats.distances[1:]) if dist > 1e-13]
         if not usable:
             raise DomainError("window converged too fast to measure a contraction ratio")
         ratios.append(float(np.exp(np.mean(np.log(usable)))))
-    slope = richardson_order(ratios, windows)
+    slope = richardson_order(ratios, lengths)
     return slope, ratios
 
 

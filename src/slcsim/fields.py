@@ -147,16 +147,12 @@ def grad_seminorm(grid: Grid, arr: np.ndarray, bc_kind: str) -> float:
 
 def v_norm(state: State) -> float:
     """Norm of the working space: |A^{1/2} v|^2 + |d|_{H^2}^2, square-rooted."""
-    a = stokes_half_norm(state.grid, state.v)
-    b = h_norm(state.grid, state.d, 2, "neumann")
-    return float(np.sqrt(a * a + b * b))
+    return spectral_summary(state)["v_norm"]
 
 
 def e_norm(state: State) -> float:
     """Norm of the regularity space: |A v|^2 + |(I+A)^{3/2} d|^2, square-rooted."""
-    a = stokes_norm(state.grid, state.v)
-    b = director_x1_norm(state.grid, state.d)
-    return float(np.sqrt(a * a + b * b))
+    return spectral_summary(state)["e_norm"]
 
 
 def spectral_summary(state: State) -> dict[str, float]:

@@ -8,17 +8,28 @@ Frozen values use fields whose norms are dyadic-exact at cell centers
 
 from __future__ import annotations
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from slcsim import diagnostics
 from slcsim.config import SimConfig, validate
 from slcsim.errors import ConfigError, DomainError
-from slcsim.fields import grad_seminorm, l2_norm, spectral_summary
+from slcsim.fields import (
+    State,
+    director_x1_norm,
+    grad_seminorm,
+    h_norm,
+    l2_norm,
+    spectral_summary,
+    stokes_half_norm,
+    stokes_norm,
+)
 from slcsim.grid import build_grid, cosine_transform, inverse_cosine_transform
 from slcsim.integrators import initial_state, run_trajectory
-from slcsim.operators import b2, leray_project, m_term
+from slcsim.operators import b2, drift, leray_project, m_term
 from slcsim.diagnostics import (
     contraction_slopes,
     duality_gap,
@@ -189,6 +200,41 @@ def test_lipschitz_probe_is_positive_finite_and_rejects_identical_states():
         lipschitz_probe_F(y1, y1)
 
 
+def _five_norm_lipschitz(y1, y2):
+    """The Lipschitz ratio with each V- and E-norm composed from its own Stokes
+    and director norms, every one paying for its own transform."""
+    grid = y1.grid
+    a = grid.n_dim / 4.0
+
+    def vn(s):
+        x, y = stokes_half_norm(grid, s.v), h_norm(grid, s.d, 2, "neumann")
+        return float(np.sqrt(x * x + y * y))
+
+    def en(s):
+        x, y = stokes_norm(grid, s.v), director_x1_norm(grid, s.d)
+        return float(np.sqrt(x * x + y * y))
+
+    diff = State(grid, y1.v - y2.v, y1.d - y2.d, y1.t)
+    dv = vn(diff)
+    dv1, dd1 = drift(grid, y1.v, y1.d, 1.0)
+    dv2, dd2 = drift(grid, y2.v, y2.d, 1.0)
+    num = np.sqrt(
+        l2_norm(grid, dv1 - dv2) ** 2 + h_norm(grid, dd1 - dd2, 1, "neumann") ** 2
+    )
+    bracket = vn(y1) ** (1.0 - a) * en(y1) ** a + en(diff) ** a * dv ** (-a) * vn(y2) + 1.0
+    return float(num / (dv * bracket))
+
+
+@pytest.mark.parametrize("grid", [G32, build_grid(3, (8, 8, 16), (1.0, 1.0, 2.0))],
+                         ids=["square", "3d"])
+def test_lipschitz_probe_matches_five_norm_composition_exactly(grid):
+    for amp in (0.5, 1.0, 2.0):
+        for k in range(3):
+            y1 = random_probe_state(grid, 5 * k, amplitude=amp)
+            y2 = random_probe_state(grid, 5 * k + 50000, amplitude=amp)
+            assert lipschitz_probe_F(y1, y2) == _five_norm_lipschitz(y1, y2)
+
+
 def test_remark_ratio_positive_and_stable_under_refinement():
     vals = []
     for g in (G16, G64):
@@ -251,9 +297,36 @@ def test_random_smooth_scalar_matches_full_grid_series_bitwise(grid, bc_kind):
             assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("grid", [
+    G32,
+    build_grid(2, (16, 64), (1.0, 2.5)),
+    build_grid(3, (8, 8, 16), (1.0, 1.0, 2.0)),
+], ids=["square", "box", "3d"])
+def test_random_smooth_scalar_one_row_slabs_match_full_grid_series_bitwise(grid, monkeypatch):
+    monkeypatch.setattr(diagnostics, "_SLAB_BYTES", 1)
+    for bc_kind in ("dirichlet", "neumann"):
+        for seed in (0, 7):
+            expected = _full_grid_series(grid, seed, bc_kind, 0.5)
+            got = random_smooth_scalar(grid, seed, bc_kind, 0.5)
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_random_smooth_scalar_memory_stays_bounded_by_slabs():
+    # all 216 terms of a 32^3 grid at once would hold about 56 MiB
+    grid = build_grid(3, (32, 32, 32), (1.0, 1.0, 1.0))
+    _mode_tables(grid, "dirichlet")
+    tracemalloc.start()
+    try:
+        random_smooth_scalar(grid, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_random_smooth_tables_are_read_only_and_bc_kind_is_checked():
     tables, weights = _mode_tables(G32, "neumann")
-    assert [t.shape for t in tables] == [(6, 32), (6, 32)] and weights.shape == (36,)
+    assert [t.shape for t in tables] == [(36, 32), (36, 32)] and weights.shape == (36,)
     for arr in (*tables, weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -389,6 +462,14 @@ def test_contraction_ratios_shrink_with_the_window():
     assert all(0.0 < r < 1.0 for r in ratios)
     assert ratios[0] < ratios[1]         # shorter window contracts harder
     assert 0.0 < slope < 1.5
+
+
+def test_contraction_slope_fits_the_integrated_window_lengths():
+    # dt = 6e-5 does not divide the windows: they run 67 and 133 steps
+    cfg = SimConfig(n_dim=2, cells=(16, 16), lengths=(1.0, 1.0), dt=6e-5,
+                    horizon=0.012, mode_count=8, scheme="picard", window=0.0012)
+    slope, ratios = contraction_slopes(cfg, (0.004, 0.008))
+    assert slope == richardson_order(ratios, (67 * cfg.dt, 133 * cfg.dt))
 
 
 def test_probe_suite_passes_and_carries_bounds():
