@@ -5,8 +5,8 @@ compute, one CSV per trajectory, one JSON with the ensemble fit, binary
 snapshots only when asked.  Identical (config, seed) pairs must produce
 identical bytes, so nothing here records wall-clock time or hostnames.
 
-Exit codes: 0 success, 1 a Picard window did not converge, 2 configuration
-or I/O error, 3 a trajectory hit a non-finite field, 4 a probe failed.
+Exit codes: 0 success, 1 a Picard window did not converge, 2 configuration,
+I/O or domain error, 3 a trajectory hit a non-finite field, 4 a probe failed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import SimConfig, default_config, parse_config_file, to_text, validate
 from .diagnostics import ensemble_energy_bound, probe_suite
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fields import write_snapshot
 from .integrators import _SERIES_KEYS, TrajectoryRecord, run_trajectory
 
@@ -42,11 +42,11 @@ EXIT_PROBE_FAILED = 4
 def _load_config(args) -> SimConfig:
     cfg = parse_config_file(args.config) if args.config else default_config()
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "trajectories", None) is not None:
+    if args.trajectories is not None:
         overrides["trajectories"] = args.trajectories
-    if getattr(args, "scheme", None) is not None:
+    if args.scheme is not None:
         overrides["scheme"] = args.scheme
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
@@ -304,6 +304,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
         return 2
 
 

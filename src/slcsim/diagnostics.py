@@ -46,7 +46,6 @@ __all__ = [
     "random_smooth_vector",
     "random_probe_state",
     "duality_gap",
-    "duality_gap_mixed",
     "richardson_order",
     "ensemble_energy_bound",
     "contraction_slopes",
@@ -279,25 +278,6 @@ def duality_gap(grid: Grid, seed: int = 0) -> float:
     return abs(lhs - rhs)
 
 
-def duality_gap_mixed(grid: Grid, seed: int = 0) -> float:
-    """Polarized two-director version of the duality gap.
-
-    For distinct director arguments only the symmetrized combination is an
-    exact continuum identity (the one-sided pairing differs by a term that
-    is antisymmetric under swapping the directors), so that is the
-    combination whose discrete gap must vanish at second order.
-    """
-    v = leray_project(grid, random_smooth_vector(grid, seed, grid.n_dim, bc_kind="dirichlet"))
-    d1 = random_smooth_vector(grid, seed + 101, 3, bc_kind="neumann")
-    d2 = random_smooth_vector(grid, seed + 202, 3, bc_kind="neumann")
-    lhs = float(np.sum(b2(grid, v, d2) * _director_laplacian(grid, d1)) * grid.cell_volume)
-    lhs += float(np.sum(b2(grid, v, d1) * _director_laplacian(grid, d2)) * grid.cell_volume)
-    rhs = float(
-        np.sum((m_term(grid, d1, d2) + m_term(grid, d2, d1)) * v) * grid.cell_volume
-    )
-    return abs(lhs - rhs)
-
-
 def richardson_order(values, spacings) -> float:
     """Least-squares slope of log(value) against log(h)."""
     x = np.log(np.asarray(spacings, dtype=float))
@@ -374,7 +354,7 @@ def contraction_slopes(cfg, windows) -> tuple[float, list[float]]:
     ratios = []
     lengths = []
     for w in windows:
-        n_win = max(2, int(round(w / dt)))
+        n_win = int(round(w / dt))
         lengths.append(n_win * dt)
         path = sample_path(cfg.seed, 0, dt, n_win, cfg.mode_count)
         _, stats = picard_solve(cache, cfg, y0, path, 0, n_win)

@@ -27,13 +27,7 @@ __all__ = [
     "l4_norm",
     "linf_norm",
     "h_norm",
-    "stokes_half_norm",
-    "stokes_norm",
-    "director_laplacian_norm",
-    "director_x1_norm",
     "grad_seminorm",
-    "v_norm",
-    "e_norm",
     "spectral_summary",
     "write_snapshot",
     "read_snapshot",
@@ -115,51 +109,19 @@ def h_norm(grid: Grid, arr: np.ndarray, order: int, bc_kind: str) -> float:
     return float(np.sqrt(np.sum(mult * sq) * grid.cell_volume))
 
 
-def _weighted(grid: Grid, arr: np.ndarray, bc_kind: str, weight) -> float:
-    sq, lam = _coeff_sq(grid, arr, bc_kind)
-    return float(np.sqrt(np.sum(weight(lam) * sq) * grid.cell_volume))
-
-
-def stokes_half_norm(grid: Grid, v: np.ndarray) -> float:
-    """Enstrophy-type norm |A^{1/2} v| via sine multipliers."""
-    return _weighted(grid, v, "dirichlet", lambda mu: mu)
-
-
-def stokes_norm(grid: Grid, v: np.ndarray) -> float:
-    """|A v| via squared sine multipliers."""
-    return _weighted(grid, v, "dirichlet", lambda mu: mu * mu)
-
-
-def director_laplacian_norm(grid: Grid, d: np.ndarray) -> float:
-    """|Delta d| via cosine multipliers."""
-    return _weighted(grid, d, "neumann", lambda lam: lam * lam)
-
-
-def director_x1_norm(grid: Grid, d: np.ndarray) -> float:
-    """|(I + A)^{3/2} d|: the top regularity norm of the director scale."""
-    return _weighted(grid, d, "neumann", lambda lam: (1.0 + lam) ** 3)
-
-
 def grad_seminorm(grid: Grid, arr: np.ndarray, bc_kind: str) -> float:
     """|grad u| realized as the lambda-weighted coefficient norm."""
-    return _weighted(grid, arr, bc_kind, lambda lam: lam)
-
-
-def v_norm(state: State) -> float:
-    """Norm of the working space: |A^{1/2} v|^2 + |d|_{H^2}^2, square-rooted."""
-    return spectral_summary(state)["v_norm"]
-
-
-def e_norm(state: State) -> float:
-    """Norm of the regularity space: |A v|^2 + |(I+A)^{3/2} d|^2, square-rooted."""
-    return spectral_summary(state)["e_norm"]
+    sq, lam = _coeff_sq(grid, arr, bc_kind)
+    return float(np.sqrt(np.sum(lam * sq) * grid.cell_volume))
 
 
 def spectral_summary(state: State) -> dict[str, float]:
     """Every per-step scalar derived from one sine and one cosine transform.
 
-    Returns l2_v, l2_d, a_half_v, a_v, h2_d, lap_d, x1_d, grad_d, v_norm,
-    e_norm, and the blow-up functional |A^{1/2} v| + |Delta d|.
+    Returns l2_v, l2_d, a_half_v, a_v, h2_d, lap_d, x1_d, grad_d, the norm
+    v_norm of the working space V (|A^{1/2} v|^2 + |d|_{H^2}^2, square-rooted),
+    the norm e_norm of the regularity space E (|A v|^2 + |(I+A)^{3/2} d|^2,
+    square-rooted), and the blow-up functional |A^{1/2} v| + |Delta d|.
     """
     grid = state.grid
     spec = grid.spectrum()

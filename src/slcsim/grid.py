@@ -190,14 +190,12 @@ def centered_gradient(grid: Grid, u: np.ndarray, bc_kind: str) -> np.ndarray:
     return np.stack([centered_diff(grid, u, a, parity) for a in range(grid.n_dim)])
 
 
-def divergence(grid: Grid, F: np.ndarray, bc_kind: str) -> np.ndarray:
+def divergence(grid: Grid, F: np.ndarray) -> np.ndarray:
     """Conservative centered divergence of a vector field with antireflection ghosts.
 
     The result sums to exactly zero for every input, which keeps the singular
-    pressure Poisson problem solvable.  ``dirichlet`` is the only flavor.
+    pressure Poisson problem solvable.
     """
-    if bc_kind != "dirichlet":
-        raise ValueError(f"unknown bc_kind {bc_kind!r}")
     if F.shape[0] != grid.n_dim:
         raise ValueError(f"expected {grid.n_dim} components, got {F.shape[0]}")
     out = np.zeros(F.shape[1:])

@@ -82,14 +82,12 @@ class StoppingRecord:
     halted: bool = False
 
 
-def detect_tau(state: State, record: StoppingRecord, blowup: float | None = None) -> StoppingRecord:
-    """Record threshold crossings of |A^{1/2} v| + |Delta d| at the current time.
+def detect_tau(state: State, record: StoppingRecord, blowup: float) -> StoppingRecord:
+    """Record threshold crossings of blowup = |A^{1/2} v| + |Delta d| at state.t.
 
     Smaller thresholds only get logged; crossing the largest one halts the
     trajectory (record.halted) so the caller can stop integrating.
     """
-    if blowup is None:
-        blowup = spectral_summary(state)["blowup"]
     for k in record.thresholds:
         if blowup > k and k not in record.hits:
             record.hits[k] = state.t
@@ -181,7 +179,6 @@ def em_step(
 @dataclass(frozen=True)
 class WindowStats:
     start_time: float
-    window: float
     iterations: int
     converged: bool
     distances: tuple[float, ...]
@@ -265,7 +262,6 @@ def picard_solve(
     )
     stats = WindowStats(
         start_time=y0.t,
-        window=n_window_steps * dt,
         iterations=iterations,
         converged=converged,
         distances=tuple(distances),

@@ -61,7 +61,7 @@ __all__ = [
 
 def pressure_of(grid: Grid, F: np.ndarray) -> np.ndarray:
     """Zero-mean pressure whose centered gradient removes the divergence of F."""
-    rhs = divergence(grid, F, "dirichlet")
+    rhs = divergence(grid, F)
     rhs_hat = cosine_transform(grid, rhs)
     sym = grid.spectrum().projection_symbol
     p_hat = np.zeros_like(rhs_hat)
@@ -218,28 +218,12 @@ class MagneticFieldSpec:
     def build(self, grid: Grid) -> np.ndarray:
         field = np.zeros((3, *grid.cells))
         if self.profile == "sine_bump":
-            field[0] = self.amplitude * self._bump(grid, grid.meshgrid())
+            coords = grid.meshgrid()
+            bump = np.ones_like(coords[0])
+            for a, x in enumerate(coords):
+                bump = bump * np.sin(np.pi * x / grid.lengths[a])
+            field[0] = self.amplitude * bump
         return field
-
-    def _bump(self, grid: Grid, coords) -> np.ndarray:
-        out = np.ones_like(coords[0])
-        for a, x in enumerate(coords):
-            out = out * np.sin(np.pi * x / grid.lengths[a])
-        return out
-
-    def boundary_trace_max(self, grid: Grid) -> float:
-        """Max |h| sampled on the boundary faces (analytic profile, not ghosts)."""
-        if self.profile == "zero":
-            return 0.0
-        worst = 0.0
-        for a in range(grid.n_dim):
-            for val in (0.0, grid.lengths[a]):
-                axes = []
-                for b in range(grid.n_dim):
-                    axes.append(np.full(1, val) if b == a else grid.axis_centers(b))
-                mesh = np.meshgrid(*axes, indexing="ij")
-                worst = max(worst, float(np.max(np.abs(self._bump(grid, mesh)))))
-        return abs(self.amplitude) * worst
 
 
 @dataclass(frozen=True)
@@ -336,11 +320,6 @@ class OperatorCache:
         self.noise_fields = basis
         self.noise_mus = mus
         self.noise_weights = noise.sigma * (1.0 + mus) ** (-noise.decay_exponent)
-
-    def hs_mass(self) -> float:
-        """sigma^2 sum_j (1 + mu_j)^{1 - 2s} over the active modes."""
-        s = self.noise.decay_exponent
-        return float(self.noise.sigma**2 * np.sum((1.0 + self.noise_mus) ** (1.0 - 2.0 * s)))
 
 
 def velocity_noise_increment(

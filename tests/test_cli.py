@@ -2,15 +2,19 @@
 
 The CLI contract under test: manifests are written before compute, identical
 (config, seed) pairs produce identical bytes, worker parallelism never changes
-results, every user error maps to exit code 2 instead of a traceback, and a
-non-finite trajectory (3) or a failed probe (4) shows in the exit code.
+results, every user or domain error maps to exit code 2 instead of a
+traceback, and a non-finite trajectory (3) or a failed probe (4) shows in the
+exit code.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slcsim
 import slcsim.cli
 from slcsim.cli import main
 from slcsim.config import SimConfig, default_config, parse_config, to_text, validate
@@ -442,6 +447,45 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+# at rest with no forcing, the first Picard sweep already reaches the fixed
+# point, so the contraction probe has no ratio to measure
+STILL = """
+[grid]
+cells = 16, 16
+
+[velocity_noise]
+sigma = 0.0
+
+[magnetic]
+profile = zero
+
+[initial]
+velocity = zero
+director = uniform
+
+[diagnostics]
+enable_penalty = false
+"""
+
+
+def test_domain_error_exits_two_with_one_line_and_no_traceback(tmp_path):
+    cfg_path = _write_config(tmp_path, STILL)
+    src = str(Path(slcsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "slcsim.cli", "probes", "--config", str(cfg_path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "domain error: window converged too fast to measure a contraction ratio"
+    ]
+    assert not (tmp_path / "o" / "probes_report.json").exists()
 
 
 def test_unknown_verb_is_an_argparse_error():

@@ -13,9 +13,6 @@ from hypothesis import strategies as st
 from slcsim.fields import (
     SNAPSHOT_VERSION,
     State,
-    director_laplacian_norm,
-    director_x1_norm,
-    e_norm,
     grad_seminorm,
     h_norm,
     l2_norm,
@@ -23,12 +20,9 @@ from slcsim.fields import (
     linf_norm,
     read_snapshot,
     spectral_summary,
-    stokes_half_norm,
-    stokes_norm,
-    v_norm,
     write_snapshot,
 )
-from slcsim.grid import build_grid
+from slcsim.grid import build_grid, cosine_transform, sine_transform
 from slcsim.integrators import _xt_distance
 
 UNIT = build_grid(2, (32, 32), (1.0, 1.0))
@@ -49,6 +43,31 @@ def _random_state(seed=0, grid=UNIT):
     v = rng.standard_normal((grid.n_dim, *grid.cells))
     d = rng.standard_normal((3, *grid.cells))
     return State(grid=grid, v=v, d=d, t=0.0)
+
+
+def _spectral_norm(grid, arr, bc_kind, weight):
+    """Oracle: sqrt(sum_k weight(lambda_k) |c_k|^2 * cell volume), with the
+    squared transform coefficients c_k summed over components."""
+    spec = grid.spectrum()
+    if bc_kind == "dirichlet":
+        coeff, lam = sine_transform(grid, arr), spec.dirichlet_eigenvalues
+    else:
+        coeff, lam = cosine_transform(grid, arr), spec.neumann_eigenvalues
+    sq = np.sum(coeff * coeff, axis=0)
+    return float(np.sqrt(np.sum(weight(lam) * sq) * grid.cell_volume))
+
+
+def _v_norm(s):
+    """Oracle for the working-space norm: |A^{1/2} v|^2 + |d|_{H^2}^2, square-rooted."""
+    a_half = _spectral_norm(s.grid, s.v, "dirichlet", lambda mu: mu)
+    return float(np.hypot(a_half, h_norm(s.grid, s.d, 2, "neumann")))
+
+
+def _e_norm(s):
+    """Oracle for the regularity-space norm: |A v|^2 + |(I+A)^{3/2} d|^2, square-rooted."""
+    a_full = _spectral_norm(s.grid, s.v, "dirichlet", lambda mu: mu * mu)
+    x1 = _spectral_norm(s.grid, s.d, "neumann", lambda lam: (1.0 + lam) ** 3)
+    return float(np.hypot(a_full, x1))
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +127,18 @@ def test_stokes_norms_on_pure_mode():
     mu = 2.0 * np.pi**2
     v = np.zeros((2, *UNIT.cells))
     v[0] = _sine_mode(UNIT)
-    assert stokes_half_norm(UNIT, v) == pytest.approx(np.sqrt(mu * 0.25), rel=1e-12)
-    assert stokes_norm(UNIT, v) == pytest.approx(mu * 0.5, rel=1e-12)
+    summ = spectral_summary(State(UNIT, v, np.zeros((3, *UNIT.cells))))
+    assert summ["a_half_v"] == pytest.approx(np.sqrt(mu * 0.25), rel=1e-12)
+    assert summ["a_v"] == pytest.approx(mu * 0.5, rel=1e-12)
 
 
 def test_director_norms_on_pure_mode():
     lam = 2.0 * np.pi**2
     d = np.zeros((3, *UNIT.cells))
     d[2] = _cosine_mode(UNIT)
-    assert director_laplacian_norm(UNIT, d) == pytest.approx(lam * 0.5, rel=1e-12)
-    assert director_x1_norm(UNIT, d) == pytest.approx(np.sqrt((1 + lam) ** 3 * 0.25), rel=1e-12)
+    summ = spectral_summary(State(UNIT, np.zeros((2, *UNIT.cells)), d))
+    assert summ["lap_d"] == pytest.approx(lam * 0.5, rel=1e-12)
+    assert summ["x1_d"] == pytest.approx(np.sqrt((1 + lam) ** 3 * 0.25), rel=1e-12)
     assert grad_seminorm(UNIT, d, "neumann") == pytest.approx(np.sqrt(lam * 0.25), rel=1e-12)
 
 
@@ -137,10 +158,9 @@ def test_unknown_bc_kind_rejected():
 
 def test_v_and_e_norm_composition():
     s = _random_state(9)
-    expect_v = np.hypot(stokes_half_norm(UNIT, s.v), h_norm(UNIT, s.d, 2, "neumann"))
-    expect_e = np.hypot(stokes_norm(UNIT, s.v), director_x1_norm(UNIT, s.d))
-    assert v_norm(s) == pytest.approx(expect_v, rel=1e-13)
-    assert e_norm(s) == pytest.approx(expect_e, rel=1e-13)
+    summ = spectral_summary(s)
+    assert summ["v_norm"] == pytest.approx(_v_norm(s), rel=1e-13)
+    assert summ["e_norm"] == pytest.approx(_e_norm(s), rel=1e-13)
 
 
 def test_spectral_summary_agrees_with_norm_functions():
@@ -148,14 +168,16 @@ def test_spectral_summary_agrees_with_norm_functions():
     summ = spectral_summary(s)
     assert summ["l2_v"] == pytest.approx(l2_norm(UNIT, s.v), rel=1e-12)
     assert summ["l2_d"] == pytest.approx(l2_norm(UNIT, s.d), rel=1e-12)
-    assert summ["a_half_v"] == pytest.approx(stokes_half_norm(UNIT, s.v), rel=1e-12)
-    assert summ["a_v"] == pytest.approx(stokes_norm(UNIT, s.v), rel=1e-12)
+    a_half = _spectral_norm(UNIT, s.v, "dirichlet", lambda mu: mu)
+    a_full = _spectral_norm(UNIT, s.v, "dirichlet", lambda mu: mu * mu)
+    lap = _spectral_norm(UNIT, s.d, "neumann", lambda lam: lam * lam)
+    x1 = _spectral_norm(UNIT, s.d, "neumann", lambda lam: (1.0 + lam) ** 3)
+    assert summ["a_half_v"] == pytest.approx(a_half, rel=1e-12)
+    assert summ["a_v"] == pytest.approx(a_full, rel=1e-12)
     assert summ["h2_d"] == pytest.approx(h_norm(UNIT, s.d, 2, "neumann"), rel=1e-12)
-    assert summ["lap_d"] == pytest.approx(director_laplacian_norm(UNIT, s.d), rel=1e-12)
-    assert summ["x1_d"] == pytest.approx(director_x1_norm(UNIT, s.d), rel=1e-12)
+    assert summ["lap_d"] == pytest.approx(lap, rel=1e-12)
+    assert summ["x1_d"] == pytest.approx(x1, rel=1e-12)
     assert summ["grad_d"] == pytest.approx(grad_seminorm(UNIT, s.d, "neumann"), rel=1e-12)
-    assert summ["v_norm"] == pytest.approx(v_norm(s), rel=1e-12)
-    assert summ["e_norm"] == pytest.approx(e_norm(s), rel=1e-12)
     assert summ["blowup"] == pytest.approx(summ["a_half_v"] + summ["lap_d"], rel=1e-13)
 
 
@@ -176,8 +198,8 @@ def test_xt_accumulator_sup_and_integral():
     s1, s2, s3 = _random_state(11), _random_state(12), _random_state(13)
     zero = State(UNIT, np.zeros_like(s1.v), np.zeros_like(s1.d), 0.0)
     dist = _xt_distance([s1, s2, s3], [zero, zero, zero], 0.25)
-    sup_sq = max(v_norm(s) for s in (s1, s2, s3)) ** 2
-    int_sq = (e_norm(s1) ** 2 + e_norm(s2) ** 2) * 0.25
+    sup_sq = max(_v_norm(s) for s in (s1, s2, s3)) ** 2
+    int_sq = (_e_norm(s1) ** 2 + _e_norm(s2) ** 2) * 0.25
     assert dist == pytest.approx(np.sqrt(sup_sq + int_sq), rel=1e-12)
     assert _xt_distance([s1, s2], [s1, s2], 0.25) == 0.0
 
@@ -186,11 +208,11 @@ def test_xt_update_with_zero_dt_only_touches_sup():
     """The last node carries no time step: it enters the sup but not the integral."""
     s1, s3 = _random_state(11), _random_state(13)
     zero = State(UNIT, np.zeros_like(s1.v), np.zeros_like(s1.d), 0.0)
-    assert _xt_distance([s3], [zero], 0.25) == pytest.approx(v_norm(s3), rel=1e-12)
+    assert _xt_distance([s3], [zero], 0.25) == pytest.approx(_v_norm(s3), rel=1e-12)
     big = State(UNIT, s1.v, 1e3 * s1.d, 0.0)  # as the last node, only its V-norm counts
     dist = _xt_distance([s3, big], [zero, zero], 0.25)
-    sup_sq = max(v_norm(s3), v_norm(big)) ** 2
-    assert dist == pytest.approx(np.sqrt(sup_sq + e_norm(s3) ** 2 * 0.25), rel=1e-12)
+    sup_sq = max(_v_norm(s3), _v_norm(big)) ** 2
+    assert dist == pytest.approx(np.sqrt(sup_sq + _e_norm(s3) ** 2 * 0.25), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def test_transform_shape_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 def _wide_laplacian(g, u):
-    return divergence(g, centered_gradient(g, u, "neumann"), "dirichlet")
+    return divergence(g, centered_gradient(g, u, "neumann"))
 
 
 def test_sampled_cosine_is_compact_neumann_eigenvector():
@@ -233,7 +233,7 @@ def test_centered_gradient_adjoint_to_dirichlet_divergence():
         p = rng.standard_normal(g.cells)
         F = rng.standard_normal((2, *g.cells))
         lhs = np.sum(centered_gradient(g, p, "neumann") * F) * g.cell_volume
-        rhs = -np.sum(p * divergence(g, F, "dirichlet")) * g.cell_volume
+        rhs = -np.sum(p * divergence(g, F)) * g.cell_volume
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -242,13 +242,7 @@ def test_dirichlet_divergence_is_mean_free():
     rng = np.random.default_rng(23)
     g = build_grid(2, (16, 8), (1.0, 2.0))
     F = rng.standard_normal((2, *g.cells))
-    assert abs(np.sum(divergence(g, F, "dirichlet")) * g.cell_volume) <= 1e-12
-
-
-def test_divergence_rejects_other_boundary_kinds():
-    g = build_grid(2, (8, 8), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        divergence(g, np.zeros((2, *g.cells)), "neumann")
+    assert abs(np.sum(divergence(g, F)) * g.cell_volume) <= 1e-12
 
 
 def test_gradient_of_linear_field_interior():

@@ -121,22 +121,6 @@ def test_detect_tau_records_first_crossings_and_halts_on_last():
     assert rec.halted
 
 
-def test_detect_tau_computes_blowup_from_state_when_not_given():
-    grid = build_grid(2, (8, 8), (1.0, 1.0))
-    x, y = grid.meshgrid()
-    v = np.zeros((2, 8, 8))
-    v[0] = np.sin(np.pi * x) * np.sin(np.pi * y)
-    d = np.zeros((3, 8, 8))
-    hot = State(grid, v, d, 0.25)
-    cold = State(grid, np.zeros_like(v), d, 0.25)
-
-    rec = StoppingRecord(thresholds=(1e-12,))
-    detect_tau(cold, rec)
-    assert not rec.halted                    # zero field has zero blow-up functional
-    detect_tau(hot, rec)
-    assert rec.halted and rec.hits[1e-12] == 0.25
-
-
 # ---------------------------------------------------------------------------
 # initial data
 # ---------------------------------------------------------------------------
@@ -147,7 +131,7 @@ def test_initial_vortex_is_discretely_divergence_free(shape):
     cfg = _cfg(n_dim=n_dim, cells=cells, lengths=lengths)
     grid = cfg.grid()
     state = initial_state(cfg, grid)
-    div = divergence(grid, state.v, "dirichlet")
+    div = divergence(grid, state.v)
     assert float(np.max(np.abs(div))) <= 1e-10
     assert state.t == 0.0
 

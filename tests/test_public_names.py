@@ -1,0 +1,69 @@
+"""No public name of the library is kept alive by its own tests alone.
+
+Every name a module lists in ``__all__``, and every public method of a class
+defined in the package, must be referenced somewhere in the package's own
+source, outside its own definition.  A reference is an ``ast.Name`` or an
+``ast.Attribute``; import aliases and ``__all__`` strings do not count.  The
+names the package itself re-exports in ``slcsim.__all__`` are its public
+API and are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import slcsim
+
+SRC = Path(slcsim.__file__).resolve().parent
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _all_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _references(node: ast.AST | None) -> Counter:
+    """How often each Name id and Attribute attr occurs under ``node``."""
+    if node is None:
+        return Counter()
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _candidates(module: str, tree: ast.Module, exempt: set[str]):
+    """(label, name, defining node) for every public name the module offers."""
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    for name in _all_names(tree):
+        if name not in exempt:
+            yield f"{module}.{name}", name, defs.get(name)
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                yield f"{module}.{cls.name}.{fn.name}", fn.name, fn
+
+
+def test_every_public_name_is_reached_from_the_package():
+    trees = _trees()
+    exempt = set(slcsim.__all__)
+    everywhere = sum((_references(t) for t in trees.values()), Counter())
+    unreached = [
+        label
+        for module, tree in trees.items()
+        if module != "__init__"
+        for label, name, node in _candidates(module, tree, exempt)
+        if everywhere[name] == _references(node)[name]
+    ]
+    assert unreached == []
