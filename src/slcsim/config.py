@@ -16,7 +16,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .grid import Grid, build_grid
@@ -220,6 +220,18 @@ def validate(cfg: SimConfig) -> None:
             cfg.grid()
         except ValueError as exc:
             errors.append(str(exc))
+        else:
+            modes = cfg.n_dim * math.prod(cfg.cells)
+            if cfg.mode_count > modes:
+                errors.append(f"mode_count must be at most {modes} on this grid, "
+                              f"got {cfg.mode_count}")
+    # NaN passes every `x < bound` check below; inf stays legal, since
+    # thresholds = inf is the "never halt" setting
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if any(isinstance(x, float) and math.isnan(x)
+               for x in (value if isinstance(value, tuple) else (value,))):
+            errors.append(f"{f.name} must not be NaN")
     if not cfg.dt > 0.0:
         errors.append(f"dt must be positive, got {cfg.dt}")
     if not cfg.horizon > 0.0:
@@ -272,8 +284,8 @@ def validate(cfg: SimConfig) -> None:
         errors.append("record_every must be at least 1")
     if cfg.snapshot_every < 0:
         errors.append("snapshot_every must be nonnegative")
-    if cfg.seed < 0:
-        errors.append("seed must be a nonnegative integer")
+    if not 0 <= cfg.seed < 2**64:
+        errors.append(f"seed must be an integer in [0, 2**64), got {cfg.seed}")
     if cfg.trajectories < 1:
         errors.append("trajectories must be at least 1")
     if errors:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -152,15 +153,66 @@ def test_config_built_in_python_never_rounds_its_step_count():
         run_trajectory(cfg)
 
 
+# the float fields of SimConfig, scalar or tuple
+FLOAT_FIELDS = [
+    "lengths", "dt", "horizon", "eps", "q", "sigma", "decay_exponent", "clip",
+    "magnetic_amplitude", "velocity_amplitude", "director_amplitude", "window",
+    "tolerance", "truncation_radius", "thresholds",
+]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_validate_rejects_nan_in_every_float_field(name):
+    value = getattr(default_config(), name)
+    nan = (float("nan"),) * len(value) if isinstance(value, tuple) else float("nan")
+    with pytest.raises(ConfigError, match=f"{name} must not be NaN"):
+        validate(dataclasses.replace(default_config(), **{name: nan}))
+
+
+def test_parse_config_rejects_nan_but_keeps_infinite_thresholds():
+    with pytest.raises(ConfigError, match="q must not be NaN"):
+        parse_config("[physics]\nq = nan\n")
+    assert parse_config("[stopping]\nthresholds = inf\n").thresholds == (float("inf"),)
+
+
+def test_validate_bounds_mode_count_by_the_grid_modes():
+    # a 16^2 grid has 2 * 16 * 16 = 512 velocity modes
+    cfg = dataclasses.replace(default_config(), cells=(16, 16), mode_count=512)
+    validate(cfg)
+    with pytest.raises(ConfigError, match="mode_count must be at most 512 on this grid, got 513"):
+        validate(dataclasses.replace(cfg, mode_count=513))
+
+
+def test_validate_bounds_the_seed_by_64_bits():
+    validate(dataclasses.replace(default_config(), seed=2**64 - 1))
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            validate(dataclasses.replace(default_config(), seed=seed))
+
+
+@pytest.mark.parametrize("args,text", [
+    (["--seed", str(2**64)], SMALL),
+    ([], SMALL.replace("mode_count = 8", "mode_count = 1000")),
+    ([], SMALL + "\n[physics]\nq = nan\n"),
+], ids=["seed-2**64", "mode_count-1000", "q-nan"])
+def test_run_rejects_what_it_cannot_honour_with_exit_two(tmp_path, capsys, args, text):
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(_write_config(tmp_path, text)), "--out", str(out), *args])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @st.composite
 def _valid_configs(draw):
     n_dim = draw(st.sampled_from([2, 3]))
     positive = st.floats(1e-6, 1e6)
     dt = 2.0 ** -draw(st.integers(0, 14))
+    cells = tuple(2 ** e for e in draw(st.lists(st.integers(2, 6), min_size=n_dim,
+                                                max_size=n_dim)))
     return SimConfig(
         n_dim=n_dim,
-        cells=tuple(2 ** e for e in draw(st.lists(st.integers(2, 6), min_size=n_dim,
-                                                  max_size=n_dim))),
+        cells=cells,
         lengths=tuple(draw(st.lists(st.floats(0.125, 8.0), min_size=n_dim, max_size=n_dim))),
         dt=dt,
         horizon=draw(st.integers(1, 10**6)) * dt,
@@ -170,7 +222,7 @@ def _valid_configs(draw):
         noise_kind=draw(st.sampled_from(["additive_trace_class", "linear_multiplicative"])),
         sigma=draw(st.floats(0.0, 10.0)),
         decay_exponent=draw(st.floats(1.0, 4.0, exclude_min=True)),
-        mode_count=draw(st.integers(1, 64)),
+        mode_count=draw(st.integers(1, min(64, n_dim * math.prod(cells)))),
         clip=draw(positive),
         magnetic_profile=draw(st.sampled_from(["zero", "sine_bump"])),
         magnetic_amplitude=draw(st.floats(-10.0, 10.0)),
@@ -470,22 +522,34 @@ enable_penalty = false
 """
 
 
-def test_domain_error_exits_two_with_one_line_and_no_traceback(tmp_path):
-    cfg_path = _write_config(tmp_path, STILL)
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(slcsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "slcsim.cli", "probes", "--config", str(cfg_path),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
+def test_domain_error_exits_two_with_one_line_and_no_traceback(tmp_path):
+    cfg_path = _write_config(tmp_path, STILL)
+    proc = _python("-m", "slcsim.cli", "probes", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [
         "domain error: window converged too fast to measure a contraction ratio"
     ]
     assert not (tmp_path / "o" / "probes_report.json").exists()
+
+
+def test_cli_import_loads_no_scipy_fft_or_special():
+    # grid.py loads SciPy's compiled pocketfft module by path; importing the
+    # scipy.fft package instead would more than double the CLI's start-up time
+    proc = _python("-c", "import json, slcsim.cli, sys; print(json.dumps(sorted("
+                   "m for m in sys.modules if m.startswith(('scipy.fft', 'scipy.special')))))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_unknown_verb_is_an_argparse_error():

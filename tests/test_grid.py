@@ -6,11 +6,14 @@ stencils, so a regression in the fast paths cannot hide behind its own
 inverse.
 """
 
+import functools
+
 import numpy as np
 import pytest
+import scipy.fft
 
+from slcsim import grid as grid_module
 from slcsim.grid import (
-    Grid,
     build_grid,
     cosine_transform,
     inverse_cosine_transform,
@@ -185,6 +188,44 @@ def test_transforms_preserve_sum_of_squares():
     for fwd in (cosine_transform, sine_transform):
         c = fwd(g, u)
         assert np.sum(c * c) == pytest.approx(np.sum(u * u), rel=1e-13)
+
+
+def _transform_cases():
+    """(grid, array) pairs: 2D and 3D, 0-2 leading axes, and a non-contiguous view."""
+    rng = np.random.default_rng(13)
+    for n_dim, cells in ((2, (8, 8)), (2, (16, 64)), (3, (8, 8, 16))):
+        g = build_grid(n_dim, cells, (1.0,) * n_dim)
+        for lead in ((), (3,), (2, 3)):
+            yield g, rng.standard_normal((*lead, *cells))
+    g = build_grid(2, (16, 8), (1.0, 1.0))
+    yield g, rng.standard_normal((3, 8, 16)).transpose(0, 2, 1)
+
+
+def _assert_transforms_match_scipy():
+    ours = (cosine_transform, inverse_cosine_transform, sine_transform, inverse_sine_transform)
+    public = (scipy.fft.dctn, scipy.fft.idctn, scipy.fft.dstn, scipy.fft.idstn)
+    for g, u in _transform_cases():
+        axes = tuple(range(u.ndim - g.n_dim, u.ndim))
+        for mine, theirs in zip(ours, public):
+            got, want = mine(g, u), theirs(u, type=2, norm="ortho", axes=axes)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_transforms_equal_scipy_fft_bytes():
+    # the default kernels call SciPy's pocketfft module directly
+    assert not isinstance(grid_module._DCTN, functools.partial)
+    _assert_transforms_match_scipy()
+
+
+def test_fallback_transforms_equal_scipy_fft_bytes(tmp_path, monkeypatch):
+    kernels = grid_module._r2r_kernels(tmp_path)  # no pocketfft module there
+    assert [k.func for k in kernels] == [
+        scipy.fft.dctn, scipy.fft.idctn, scipy.fft.dstn, scipy.fft.idstn
+    ]
+    for name, kernel in zip(("_DCTN", "_IDCTN", "_DSTN", "_IDSTN"), kernels):
+        monkeypatch.setattr(grid_module, name, kernel)
+    _assert_transforms_match_scipy()
 
 
 def test_transform_shape_mismatch_rejected():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slcsim.noise import BrownianPath, refine, sample_path
+from slcsim.noise import refine, sample_path
 
 
 def test_increment_statistics():

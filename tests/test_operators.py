@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from slcsim.errors import ConfigError, DomainError
-from slcsim.fields import h_norm, l2_norm
+from slcsim.fields import l2_norm
 from slcsim.grid import (
     build_grid,
     centered_gradient,

@@ -1,4 +1,5 @@
-"""No public name of the library is kept alive by its own tests alone.
+"""No public name of the library is kept alive by its own tests alone, and
+no module imports a name it never uses.
 
 Every name a module lists in ``__all__``, and every public method of a class
 defined in the package, must be referenced somewhere in the package's own
@@ -6,6 +7,11 @@ source, outside its own definition.  A reference is an ``ast.Name`` or an
 ``ast.Attribute``; import aliases and ``__all__`` strings do not count.  The
 names the package itself re-exports in ``slcsim.__all__`` are its public
 API and are exempt.
+
+Every name an ``import`` binds, in the package and in its tests, must occur
+as an ``ast.Name`` in the same module.  Names the module lists in
+``__all__`` are re-exports and ``from __future__`` imports are directives;
+both are exempt.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from pathlib import Path
 import slcsim
 
 SRC = Path(slcsim.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -67,3 +74,26 @@ def test_every_public_name_is_reached_from_the_package():
         if everywhere[name] == _references(node)[name]
     ]
     assert unreached == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import in ``tree`` that no ``ast.Name`` reads."""
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_all_names(tree))
+    return [name for name in bound if name not in used]
+
+
+def test_every_imported_name_is_used():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = [
+        f"{path.parent.name}/{path.name}: {name}"
+        for path in paths
+        for name in _unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert unused == []
