@@ -3,7 +3,8 @@
 The transforms are cross-checked against direct O(N^2) summation, and the
 projection symbol against a dense-matrix eigendecomposition of the centered
 stencils, so a regression in the fast paths cannot hide behind its own
-inverse.
+inverse.  The direct pocketfft calls, and their fallback, must also give
+the bytes of ``scipy.fft``'s public functions.
 """
 
 import functools
