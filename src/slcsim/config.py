@@ -2,8 +2,8 @@
 
 The on-disk format is sectioned ``key = value`` text (INI).  Parsing is
 strict: unknown sections or keys are errors, and every violation found is
-reported in one aggregated message rather than first-failure-wins.  A
-round trip through ``to_text``/``parse_config`` is lossless.  Step counts
+reported in one aggregated one-line message rather than first-failure-wins.
+A round trip through ``to_text``/``parse_config`` is lossless.  Step counts
 are never rounded: ``horizon/dt``, and for Picard ``window/dt``, must be
 whole numbers of steps.
 
@@ -187,7 +187,7 @@ def parse_config(text: str) -> SimConfig:
                 values[attr] = val
 
     if errors:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+        raise ConfigError("invalid config: " + "; ".join(errors))
 
     cfg = SimConfig(**values)
     validate(cfg)
@@ -225,13 +225,16 @@ def validate(cfg: SimConfig) -> None:
             if cfg.mode_count > modes:
                 errors.append(f"mode_count must be at most {modes} on this grid, "
                               f"got {cfg.mode_count}")
-    # NaN passes every `x < bound` check below; inf stays legal, since
-    # thresholds = inf is the "never halt" setting
+    # NaN passes every `x < bound` check below and inf every `x > 0.0` one;
+    # only thresholds may be inf, the "never halt" setting
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if any(isinstance(x, float) and math.isnan(x)
-               for x in (value if isinstance(value, tuple) else (value,))):
+        xs = [x for x in (value if isinstance(value, tuple) else (value,))
+              if isinstance(x, float)]
+        if any(math.isnan(x) for x in xs):
             errors.append(f"{f.name} must not be NaN")
+        elif f.name != "thresholds" and not all(math.isfinite(x) for x in xs):
+            errors.append(f"{f.name} must be finite, got {_format(value)}")
     if not cfg.dt > 0.0:
         errors.append(f"dt must be positive, got {cfg.dt}")
     if not cfg.horizon > 0.0:
@@ -289,7 +292,7 @@ def validate(cfg: SimConfig) -> None:
     if cfg.trajectories < 1:
         errors.append("trajectories must be at least 1")
     if errors:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+        raise ConfigError("invalid config: " + "; ".join(errors))
 
 
 def _format(value) -> str:

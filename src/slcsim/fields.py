@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,11 @@ _HEADER = struct.Struct("<4sII3I3dId")
 
 @dataclass(frozen=True)
 class State:
-    """Coupled velocity/director state at one instant."""
+    """Coupled velocity/director state at one instant.
+
+    ``summary`` is the state's :func:`spectral_summary`, computed on first
+    use and kept, so the arrays must not be changed in place after it is read.
+    """
 
     grid: Grid
     v: np.ndarray  # (n_dim, *cells), no-slip
@@ -53,6 +58,10 @@ class State:
             raise ValueError(f"velocity shape {self.v.shape} invalid")
         if self.d.shape != (3, *self.grid.cells):
             raise ValueError(f"director shape {self.d.shape} invalid")
+
+    @cached_property
+    def summary(self) -> dict[str, float]:
+        return spectral_summary(self)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +220,12 @@ def read_snapshot(path) -> tuple[SnapshotMeta, np.ndarray]:
         raise ValueError(f"bad snapshot shape: n_dim {n_dim}, {n_comp} components")
     cells = tuple((c0, c1, c2)[:n_dim])
     lengths = tuple((l0, l1, l2)[:n_dim])
+    try:
+        Grid(n_dim, cells, lengths)
+    except ValueError as exc:
+        raise ValueError(f"bad snapshot grid: {exc}") from exc
+    if not math.isfinite(time):
+        raise ValueError(f"snapshot time must be finite, got {time}")
     payload = n_comp * math.prod(cells) * 8
     if len(raw) != _HEADER.size + payload:
         raise ValueError(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
@@ -67,7 +68,7 @@ class Grid:
     cells : tuple of int
         Cells per axis; each must be a power of two >= 4.
     lengths : tuple of float
-        Box edge lengths, all positive.
+        Box edge lengths, all positive and finite.
     """
 
     n_dim: int
@@ -85,8 +86,8 @@ class Grid:
             if n < 4 or (n & (n - 1)) != 0:
                 raise ValueError(f"cells must be powers of two >= 4, got {n}")
         for length in self.lengths:
-            if not (length > 0.0):
-                raise ValueError(f"lengths must be positive, got {length}")
+            if not 0.0 < length < math.inf:
+                raise ValueError(f"lengths must be positive and finite, got {length}")
         object.__setattr__(
             self, "spacings", tuple(L / n for L, n in zip(self.lengths, self.cells))
         )

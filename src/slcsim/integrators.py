@@ -11,7 +11,9 @@ with the exact velocity semigroup, which reproduces left-endpoint
 Riemann/Ito convolution sums against the semigroup without the O(N^2) cost
 of assembling them directly.  Its theta_j = theta(|prev|_{X_t} / radius)
 reads the previous iterate's running path norm ``_xt_norms``, which on the
-node differences of two iterates is also the sweep distance.
+node differences of two iterates is also the sweep distance.  Sweep m fixes
+node m for good, so each sweep starts after the nodes earlier sweeps fixed,
+and it overwrites the iterate node by node: one iterate is kept alive.
 
 ``run_trajectory`` feeds the nodes of either scheme, one at a time, into a
 single per-node path (``_NodeLoop.advance``): the finite check, the phi
@@ -23,13 +25,14 @@ each solved window in order, and both stop on the same rule.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import SimConfig, _step_count
 from .diagnostics import max_principle_gap, penalty_energy, phi_rate, psi_functional
-from .fields import State, spectral_summary
+from .fields import State
 from .grid import Grid
 from .noise import BrownianPath, sample_path
 from .operators import (
@@ -186,22 +189,21 @@ class WindowStats:
     min_theta: float = 1.0  # 1.0 means the cutoff never engaged
 
 
-def _xt_norms(states, dt: float) -> np.ndarray:
+def _xt_norms(norms, dt: float) -> np.ndarray:
     """Running path norm sqrt(sup_{i<=j} |u_i|_V^2 + sum_{i<j} |u_i|_E^2 dt) at
-    every node j; ``states`` is read once, so it may be a generator."""
-    vs, es = [], []
-    for s in states:
-        summ = spectral_summary(s)
-        vs.append(summ["v_norm"])
-        es.append(summ["e_norm"])
+    every node j, from the nodes' (V-norm, E-norm) pairs."""
+    vs, es = np.array(norms).T
     run_sup = np.maximum.accumulate(np.square(vs))
     run_int = np.concatenate([[0.0], np.cumsum(np.square(es[:-1]) * dt)])
     return np.sqrt(run_sup + run_int)
 
 
-def _xt_distance(a: list[State], b: list[State], dt: float) -> float:
-    diffs = (State(x.grid, x.v - y.v, x.d - y.d, x.t) for x, y in zip(a, b))
-    return float(_xt_norms(diffs, dt)[-1])
+def _ve_norms(state: State) -> tuple[float, float]:
+    return state.summary["v_norm"], state.summary["e_norm"]
+
+
+def _is_finite(state: State) -> bool:
+    return bool(np.all(np.isfinite(state.v)) and np.all(np.isfinite(state.d)))
 
 
 def picard_solve(
@@ -216,42 +218,64 @@ def picard_solve(
 
     Returns the converged node trajectory (n_window_steps + 1 states) and the
     iteration statistics.  Iterates are compared in the discrete path norm
-    sup_j |.|_V^2 + sum_j |.|_E^2 dt.
+    sup_j |.|_V^2 + sum_j |.|_E^2 dt; a window converges only on a finite
+    distance within ``tolerance`` of a finite path norm.
+
+    A sweep is causal: node j+1 reads nodes <= j of the current and the
+    previous iterate, so after sweep m nodes 0..m are final and every later
+    sweep would reproduce them bit for bit.  Each sweep therefore starts
+    after the finite final prefix, whose differences are exactly zero and
+    whose norms it reuses.  The iterate is overwritten node by node, so one
+    iterate stays alive, and every node keeps its ``summary`` for the caller.
     """
     grid = cache.grid
     dt = path.dt
     radius = cfg.truncation_radius
+    n = n_window_steps
 
     # zeroth iterate: free linear evolution of y0
-    prev: list[State] = [y0]
-    for j in range(n_window_steps):
-        v, d = prev[-1].v, prev[-1].d
+    nodes: list[State] = [y0]
+    for j in range(n):
+        v, d = nodes[-1].v, nodes[-1].d
         if not cfg.freeze_velocity:
             v = semigroup_velocity_exact(grid, v, dt)
         if cfg.director_diffusion:
             d = semigroup_director(grid, d, dt)
-        prev.append(State(grid, v, d, y0.t + (j + 1) * dt))
+        nodes.append(State(grid, v, d, y0.t + (j + 1) * dt))
+    norms = [_ve_norms(s) for s in nodes]
 
+    # nodes[:fixed] are final and finite: no sweep recomputes them, and their
+    # differences, exactly zero, stay out of the distance.  A non-finite node,
+    # y0 included, never joins, as its NaN difference must reach the distance;
+    # fixed stops at n, so every sweep recomputes at least the last node.
+    fixed = 1 if _is_finite(y0) else 0
     distances: list[float] = []
     converged = False
     iterations = 0
     min_theta = 1.0
     for _ in range(cfg.max_iterations):
         iterations += 1
-        xt_norms = _xt_norms(prev, dt)
-        cur: list[State] = [y0]
-        for j in range(n_window_steps):
+        xt_norms = _xt_norms(norms, dt)
+        diffs = [] if fixed else [_ve_norms(State(grid, y0.v - y0.v, y0.d - y0.d, y0.t))]
+        start = max(fixed - 1, 0)
+        base = prev = nodes[start]
+        for j in range(start, n):
             theta = theta_cutoff(float(xt_norms[j]), radius)
             min_theta = min(min_theta, theta)
-            cur.append(_step(cur[-1], prev[j], dt, path.w1(start_step + j),
-                             path.w2(start_step + j), cache, cfg, theta,
-                             semigroup_velocity_exact))
+            node = _step(base, prev, dt, path.w1(start_step + j), path.w2(start_step + j),
+                         cache, cfg, theta, semigroup_velocity_exact)
+            prev = nodes[j + 1]  # read here and by the next step, then dropped
+            diffs.append(_ve_norms(State(grid, node.v - prev.v, node.d - prev.d, node.t)))
+            nodes[j + 1] = base = node
+            norms[j + 1] = _ve_norms(node)
+        if 0 < fixed < n and _is_finite(nodes[fixed]):
+            fixed += 1
 
-        dist = _xt_distance(cur, prev, dt)
+        dist = float(_xt_norms(diffs, dt)[-1])
         distances.append(dist)
-        prev = cur
-        scale = max(1.0, float(xt_norms[-1]))
-        if dist <= cfg.tolerance * scale:
+        norm = float(xt_norms[-1])
+        if (math.isfinite(dist) and math.isfinite(norm)
+                and dist <= cfg.tolerance * max(1.0, norm)):
             converged = True
             break
 
@@ -268,7 +292,7 @@ def picard_solve(
         ratios=ratios,
         min_theta=min_theta,
     )
-    return prev, stats
+    return nodes, stats
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +371,7 @@ class _NodeLoop:
         self.cfl_warned = False
         self.times: list[float] = []
         self.rows: list[dict] = []
-        summ = spectral_summary(self.state)
+        summ = self.state.summary
         detect_tau(self.state, self.stopping, blowup=summ["blowup"])
         self._record(self.state, summ)
         self._snap(0, self.state)
@@ -364,10 +388,10 @@ class _NodeLoop:
         """
         self.steps += 1
         self.state = node
-        if not (np.all(np.isfinite(node.v)) and np.all(np.isfinite(node.d))):
+        if not _is_finite(node):
             self.status = "numerical_failure"
             return False
-        summ = spectral_summary(node)
+        summ = node.summary
         self.phi_integral += phi_rate(summ["l2_v"], summ["a_half_v"], node.grid.n_dim) * self.dt
         detect_tau(node, self.stopping, blowup=summ["blowup"])
         j = self.steps
@@ -433,6 +457,7 @@ def run_trajectory(
             for node in nodes[1:]:
                 if not loop.advance(node):
                     break
+            del nodes  # not held while the next window is solved
             if not stats.converged and loop.status == "completed":
                 loop.status = "iteration_failed"
     else:

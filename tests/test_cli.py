@@ -175,6 +175,14 @@ def test_parse_config_rejects_nan_but_keeps_infinite_thresholds():
     assert parse_config("[stopping]\nthresholds = inf\n").thresholds == (float("inf"),)
 
 
+@pytest.mark.parametrize("name", [f for f in FLOAT_FIELDS if f != "thresholds"])
+def test_validate_rejects_inf_in_every_float_field_but_thresholds(name):
+    value = getattr(default_config(), name)
+    inf = (float("inf"),) * len(value) if isinstance(value, tuple) else float("inf")
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        validate(dataclasses.replace(default_config(), **{name: inf}))
+
+
 def test_validate_bounds_mode_count_by_the_grid_modes():
     # a 16^2 grid has 2 * 16 * 16 = 512 velocity modes
     cfg = dataclasses.replace(default_config(), cells=(16, 16), mode_count=512)
@@ -194,12 +202,16 @@ def test_validate_bounds_the_seed_by_64_bits():
     (["--seed", str(2**64)], SMALL),
     ([], SMALL.replace("mode_count = 8", "mode_count = 1000")),
     ([], SMALL + "\n[physics]\nq = nan\n"),
-], ids=["seed-2**64", "mode_count-1000", "q-nan"])
+    # an infinite radius or eps would silently drop the cutoff or the penalty
+    ([], SMALL + "\n[picard]\ntruncation_radius = inf\n"),
+    ([], SMALL + "\n[physics]\neps = inf\n"),
+], ids=["seed-2**64", "mode_count-1000", "q-nan", "truncation_radius-inf", "eps-inf"])
 def test_run_rejects_what_it_cannot_honour_with_exit_two(tmp_path, capsys, args, text):
     out = tmp_path / "o"
     code = main(["run", "--config", str(_write_config(tmp_path, text)), "--out", str(out), *args])
     assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and len(err.splitlines()) == 1, err
     assert not out.exists()
 
 

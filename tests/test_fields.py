@@ -5,6 +5,8 @@ every spectral norm on them reduces to a closed-form number; those are the
 frozen oracles used below.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from slcsim.fields import (
     write_snapshot,
 )
 from slcsim.grid import build_grid, cosine_transform, sine_transform
-from slcsim.integrators import _xt_distance
+from slcsim.integrators import _ve_norms, _xt_norms
 
 UNIT = build_grid(2, (32, 32), (1.0, 1.0))
 
@@ -192,9 +194,16 @@ def test_state_shape_validation():
 # Picard path-norm distance
 # ---------------------------------------------------------------------------
 
+def _xt_distance(a, b, dt):
+    """The Picard sweep distance: the path norm of the node differences, at
+    the last node."""
+    diffs = [State(x.grid, x.v - y.v, x.d - y.d, x.t) for x, y in zip(a, b)]
+    return float(_xt_norms([_ve_norms(s) for s in diffs], dt)[-1])
+
+
 def test_xt_accumulator_sup_and_integral():
-    """The Picard path norm _xt_distance is sup_j |a_j - b_j|_V^2 plus the
-    left-endpoint sum of |a_j - b_j|_E^2 dt."""
+    """The Picard path norm is sup_j |a_j - b_j|_V^2 plus the left-endpoint
+    sum of |a_j - b_j|_E^2 dt."""
     s1, s2, s3 = _random_state(11), _random_state(12), _random_state(13)
     zero = State(UNIT, np.zeros_like(s1.v), np.zeros_like(s1.d), 0.0)
     dist = _xt_distance([s1, s2, s3], [zero, zero, zero], 0.25)
@@ -262,6 +271,15 @@ def test_snapshot_writes_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+_HEADER_SIZE = 60  # magic, version, n_dim, 3 counts, 3 lengths, components, time
+
+
+def _patch(raw: bytes, offset: int, fmt: str, *values) -> bytes:
+    """raw with values packed by struct format fmt at the byte offset."""
+    packed = struct.pack(fmt, *values)
+    return raw[:offset] + packed + raw[offset + len(packed):]
+
+
 def _valid_snapshot(tmp_path):
     g = build_grid(2, (8, 4), (1.0, 2.0))
     p = tmp_path / "d.slcf"
@@ -277,8 +295,19 @@ def _valid_snapshot(tmp_path):
         lambda raw: raw[:-8],                                     # truncated payload
         lambda raw: raw + bytes(8),                               # trailing bytes
         lambda raw: raw[:8] + (4).to_bytes(4, "little") + raw[12:],  # n_dim 4
+        # header values a Grid rejects, with a payload that matches them
+        lambda raw: _patch(raw, 12, "<3I", 0, 0, 1)[:_HEADER_SIZE],
+        lambda raw: _patch(raw, 12, "<3I", 3, 5, 1)[:_HEADER_SIZE + 3 * 15 * 8],
+        lambda raw: _patch(raw, 24, "<d", float("nan")),
+        lambda raw: _patch(raw, 24, "<d", float("inf")),
+        lambda raw: _patch(raw, 24, "<d", 0.0),
+        lambda raw: _patch(raw, 24, "<d", -1.0),
+        lambda raw: _patch(raw, 52, "<d", float("nan")),             # time
+        lambda raw: _patch(raw, 52, "<d", float("-inf")),
     ],
-    ids=["short_header", "version", "truncated", "trailing", "n_dim"],
+    ids=["short_header", "version", "truncated", "trailing", "n_dim", "cells_0x0",
+         "cells_3x5", "length_nan", "length_inf", "length_zero", "length_negative",
+         "time_nan", "time_inf"],
 )
 def test_snapshot_rejects_malformed_files(tmp_path, mangle):
     p, raw = _valid_snapshot(tmp_path)

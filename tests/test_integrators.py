@@ -4,24 +4,31 @@ The EM step is pinned two ways: bitwise against a hand-assembled composition
 of the public operators (term inventory and order), and against the exact
 pointwise identity for the director magnitude under a pure rotation step.
 Picard's first sweep is pinned bitwise against the same composition with the
-exact semigroups and an engaged cutoff.  Picard windows are checked for
-contraction, determinism, and cutoff inertness.
+exact semigroups and an engaged cutoff, its fixed point bitwise against the
+exponential-Euler recursion it terminates at, and the streamed sweep bitwise
+against a full-sweep oracle kept here, with tracemalloc bounds on the
+iterates it holds.  Picard windows are checked for contraction,
+determinism, and cutoff inertness.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import slcsim.integrators as integrators
 from slcsim.config import SimConfig
 from slcsim.fields import State, spectral_summary
 from slcsim.grid import build_grid, divergence
 from slcsim.integrators import (
     StoppingRecord,
+    _step,
     detect_tau,
     em_step,
     initial_state,
@@ -342,6 +349,192 @@ def test_picard_respects_frozen_velocity():
         assert np.array_equal(node.v, y0.v)
 
 
+def _full_sweep_picard(cache, cfg, y0, path, start_step, n):
+    """The full-sweep Picard iteration, kept as the oracle of picard_solve:
+    every sweep recomputes every node, and the previous iterate, the current
+    one and their differences are all held at once."""
+    grid, dt = cache.grid, path.dt
+
+    def xt_norms(states):
+        summs = [spectral_summary(s) for s in states]
+        vs = [s["v_norm"] for s in summs]
+        es = [s["e_norm"] for s in summs]
+        run_sup = np.maximum.accumulate(np.square(vs))
+        run_int = np.concatenate([[0.0], np.cumsum(np.square(es[:-1]) * dt)])
+        return np.sqrt(run_sup + run_int)
+
+    prev = [y0]
+    for j in range(n):
+        v, d = prev[-1].v, prev[-1].d
+        if not cfg.freeze_velocity:
+            v = semigroup_velocity_exact(grid, v, dt)
+        if cfg.director_diffusion:
+            d = semigroup_director(grid, d, dt)
+        prev.append(State(grid, v, d, y0.t + (j + 1) * dt))
+    distances, converged, min_theta = [], False, 1.0
+    for _ in range(cfg.max_iterations):
+        xt = xt_norms(prev)
+        cur = [y0]
+        for j in range(n):
+            theta = theta_cutoff(float(xt[j]), cfg.truncation_radius)
+            min_theta = min(min_theta, theta)
+            cur.append(_step(cur[-1], prev[j], dt, path.w1(start_step + j),
+                             path.w2(start_step + j), cache, cfg, theta,
+                             semigroup_velocity_exact))
+        diffs = [State(grid, a.v - b.v, a.d - b.d, a.t) for a, b in zip(cur, prev)]
+        distances.append(float(xt_norms(diffs)[-1]))
+        prev = cur
+        norm = float(xt[-1])
+        if (math.isfinite(distances[-1]) and math.isfinite(norm)
+                and distances[-1] <= cfg.tolerance * max(1.0, norm)):
+            converged = True
+            break
+    ratios = [distances[m] / distances[m - 1]
+              for m in range(1, len(distances)) if distances[m - 1] > 0.0]
+    return prev, len(distances), converged, min_theta, distances, ratios
+
+
+# the initial vortex of these grids has |y0|_V about 12, so a radius of 10
+# engages the cutoff on every node without switching the drift off
+_PICARD_CASES = {
+    "16x16": dict(horizon=8e-3),
+    "16x16-cutoff": dict(horizon=8e-3, truncation_radius=10.0),
+    "8x8x16": dict(n_dim=3, cells=(8, 8, 16), lengths=(1.0, 1.0, 1.0), horizon=6e-3),
+}
+
+# velocity amplitude 1e152 overflows the path norm of the first window
+_OVERFLOW = dict(horizon=8e-3, window=4e-3, velocity_amplitude=1e152,
+                 truncation_radius=1e300, thresholds=(float("inf"),), max_iterations=6)
+
+
+@pytest.mark.parametrize("overrides", [
+    *_PICARD_CASES.values(),
+    dict(horizon=8e-3, max_iterations=3),
+    dict(_OVERFLOW, horizon=4e-3),
+    dict(_OVERFLOW, horizon=4e-3, velocity_amplitude=1e308),  # overflows y0 itself
+], ids=[*_PICARD_CASES, "16x16-max_iterations-3", "16x16-non-finite", "16x16-non-finite-y0"])
+def test_picard_solve_matches_the_full_sweep_oracle_bitwise(overrides, monkeypatch):
+    cfg = _cfg(scheme="picard", **overrides)
+    n = cfg.n_steps
+    cache = _cache(cfg)
+    path = sample_path(5, 0, cfg.dt, n, cfg.mode_count)
+    steps = []
+    monkeypatch.setattr(integrators, "_step", lambda *args: steps.append(1) or _step(*args))
+
+    with np.errstate(all="ignore"):
+        y0 = initial_state(cfg, cache.grid)
+        nodes, stats = picard_solve(cache, cfg, y0, path, 0, n)
+        ref, iterations, converged, min_theta, distances, ratios = _full_sweep_picard(
+            cache, cfg, y0, path, 0, n)
+
+    assert [(a.v.tobytes(), a.d.tobytes(), a.t) for a in nodes] == \
+        [(b.v.tobytes(), b.d.tobytes(), b.t) for b in ref]
+    assert (stats.iterations, stats.converged) == (iterations, converged)
+    assert repr(stats.min_theta) == repr(min_theta)
+    assert [repr(x) for x in stats.distances] == [repr(x) for x in distances]
+    assert [repr(x) for x in stats.ratios] == [repr(x) for x in ratios]
+    # each case reaches the branch it is named for
+    if "velocity_amplitude" in overrides:
+        finite = [bool(np.all(np.isfinite(s.v))) for s in nodes]
+        assert finite[0] == (overrides["velocity_amplitude"] < 1e300) and not all(finite)
+        if not finite[0]:
+            assert len(steps) == iterations * n  # no node is skipped after a non-finite y0
+    else:
+        # sweep s + 1 starts after the s + 1 final nodes, and always steps to node n
+        assert len(steps) == sum(n - min(s, n - 1) for s in range(iterations))
+    if "truncation_radius" in overrides and "velocity_amplitude" not in overrides:
+        assert 0.0 < min_theta < 1.0
+    if overrides.get("max_iterations") == 3:
+        assert not converged
+
+
+@pytest.mark.parametrize("overrides", _PICARD_CASES.values(), ids=_PICARD_CASES)
+def test_picard_terminates_at_the_exponential_euler_recursion(overrides):
+    """After sweep m, nodes 0..m are final, so sweep n_win + 1 reproduces the
+    whole window and its distance is exactly zero.  The fixed point is the
+    recursion u_{j+1} = _step(u_j, u_j, theta_j) with the exact velocity
+    semigroup, theta_j read from the running path norm of u_0..u_j."""
+    cfg = _cfg(scheme="picard", tolerance=1e-300, **overrides)
+    n = cfg.n_steps
+    cache = _cache(cfg)
+    grid, dt = cache.grid, cfg.dt
+    y0 = initial_state(cfg, grid)
+    path = sample_path(3, 0, dt, n, cfg.mode_count)
+
+    nodes, stats = picard_solve(cache, dataclasses.replace(cfg, max_iterations=n + 1),
+                                y0, path, 0, n)
+    assert stats.converged and stats.iterations == n + 1
+    assert stats.distances[-1] == 0.0
+
+    u, sup_sq, int_sq, thetas = y0, 0.0, 0.0, []
+    for j in range(n):
+        summ = spectral_summary(u)
+        sup_sq = max(sup_sq, summ["v_norm"] * summ["v_norm"])
+        thetas.append(theta_cutoff(float(np.sqrt(sup_sq + int_sq)), cfg.truncation_radius))
+        int_sq += summ["e_norm"] * summ["e_norm"] * dt
+        u = _step(u, u, dt, path.w1(j), path.w2(j), cache, cfg, thetas[-1],
+                  semigroup_velocity_exact)
+        assert nodes[j + 1].v.tobytes() == u.v.tobytes(), j
+        assert nodes[j + 1].d.tobytes() == u.d.tobytes(), j
+    assert (min(thetas) < 1.0) == ("truncation_radius" in overrides)
+
+    _, short = picard_solve(cache, dataclasses.replace(cfg, max_iterations=n), y0, path, 0, n)
+    assert not short.converged and short.distances[-1] > 0.0
+
+
+def test_picard_window_with_an_overflowing_distance_does_not_converge():
+    """An overflowed path norm makes the convergence scale infinite, which
+    must not accept an infinite distance: the window runs out of sweeps and
+    its non-finite node ends the trajectory."""
+    cfg = _cfg(scheme="picard", **_OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with np.errstate(all="ignore"):
+            rec = run_trajectory(cfg)
+    assert rec.status == "numerical_failure"
+    assert rec.steps_completed == 2
+    [window] = rec.windows
+    assert not window.converged and window.iterations == cfg.max_iterations
+    assert window.distances[0] == float("inf")
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc above the level at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _iterate_bytes(cfg: SimConfig, n: int) -> int:
+    """Bytes of one iterate's (or window's) n + 1 nodes."""
+    cells = int(np.prod(cfg.cells))
+    return (n + 1) * (cfg.n_dim + 3) * cells * 8
+
+
+def test_picard_solve_keeps_one_iterate_alive():
+    # a full-sweep iteration holds two iterates and their differences
+    cfg = _cfg(scheme="picard", cells=(32, 32), horizon=0.032)
+    cache = _cache(cfg)
+    y0 = initial_state(cfg, cache.grid)
+    path = sample_path(0, 0, cfg.dt, cfg.n_steps, cfg.mode_count)
+    picard_solve(cache, cfg, y0, path, 0, cfg.n_steps)  # warm every per-grid table
+
+    peak = _traced_peak(lambda: picard_solve(cache, cfg, y0, path, 0, cfg.n_steps))
+    assert peak <= 1.5 * _iterate_bytes(cfg, cfg.n_steps)
+
+
+def test_picard_trajectory_holds_one_window_at_a_time():
+    cfg = _cfg(scheme="picard", cells=(32, 32), horizon=0.096, window=0.032)
+    run_trajectory(dataclasses.replace(cfg, horizon=0.032))  # warm every per-grid table
+
+    peak = _traced_peak(lambda: run_trajectory(cfg))
+    assert peak <= 1.6 * _iterate_bytes(cfg, 32)
+
+
 # ---------------------------------------------------------------------------
 # full trajectories
 # ---------------------------------------------------------------------------
@@ -425,8 +618,6 @@ def test_picard_trajectory_warns_on_advective_cfl(caplog):
 def test_picard_numerical_failure_keeps_the_non_finite_node(monkeypatch):
     """Both schemes share one rule: the first non-finite node counts as a
     step and becomes the terminal state."""
-    import slcsim.integrators as integrators
-
     real = integrators.picard_solve
 
     def poisoned(cache, cfg, y0, path, start, n):
