@@ -17,7 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +172,9 @@ def _cmd_ensemble(args) -> int:
     if workers == 1:
         records = [_run_one(j) for j in jobs]
     else:
+        # only a pooled ensemble pays for importing the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one, jobs))
 

@@ -169,7 +169,8 @@ def parse_config(text: str) -> SimConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from exc
+        # configparser spreads its message over several lines; keep it on one
+        raise ConfigError("config syntax: " + " ".join(str(exc).split())) from exc
 
     errors: list[str] = []
     values: dict[str, object] = {}

@@ -352,7 +352,9 @@ class _NodeLoop:
     """Per-node bookkeeping of one trajectory, shared by both schemes.
 
     It starts from the initial state (recorded as the first row) and takes
-    the trajectory's nodes in order through ``advance``.
+    the trajectory's nodes in order through ``advance``.  A non-finite
+    initial state ends the trajectory before its first step, as
+    numerical_failure after 0 steps.
     """
 
     def __init__(self, cfg: SimConfig, cache: OperatorCache, path: BrownianPath,
@@ -372,8 +374,11 @@ class _NodeLoop:
         self.times: list[float] = []
         self.rows: list[dict] = []
         summ = self.state.summary
-        detect_tau(self.state, self.stopping, blowup=summ["blowup"])
         self._record(self.state, summ)
+        if not _is_finite(self.state):
+            self.status = "numerical_failure"
+            return
+        detect_tau(self.state, self.stopping, blowup=summ["blowup"])
         self._snap(0, self.state)
         self._check_cfl(self.state)
 
@@ -461,9 +466,9 @@ def run_trajectory(
             if not stats.converged and loop.status == "completed":
                 loop.status = "iteration_failed"
     else:
-        for j in range(n_steps):
-            if not loop.advance(em_step(loop.state, dt, path.w1(j), path.w2(j), cache, cfg)):
-                break
+        while loop.steps < n_steps and loop.status == "completed":
+            j = loop.steps
+            loop.advance(em_step(loop.state, dt, path.w1(j), path.w2(j), cache, cfg))
 
     series = {k: np.array([r[k] for r in loop.rows]) for k in _SERIES_KEYS}
     return TrajectoryRecord(

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .grid import (
     Grid,
+    _outer_sum,
     centered_diff,
     centered_gradient,
     cosine_transform,
@@ -218,11 +219,7 @@ class MagneticFieldSpec:
     def build(self, grid: Grid) -> np.ndarray:
         field = np.zeros((3, *grid.cells))
         if self.profile == "sine_bump":
-            coords = grid.meshgrid()
-            bump = np.ones_like(coords[0])
-            for a, x in enumerate(coords):
-                bump = bump * np.sin(np.pi * x / grid.lengths[a])
-            field[0] = self.amplitude * bump
+            field[0] = self.amplitude * _sine_product(grid, (1,) * grid.n_dim)
         return field
 
 
@@ -263,38 +260,50 @@ class NoiseCoefficientSpec:
         return min(v_l2, self.clip)
 
 
+def _sine_product(grid: Grid, wav: tuple[int, ...]) -> np.ndarray:
+    """prod_a sin(k_a pi x_a / L_a) on the cell centers: the outer product of
+    the per-axis factors, multiplied in axis order."""
+    out = np.sin(wav[0] * np.pi * grid.axis_centers(0) / grid.lengths[0])
+    for a in range(1, grid.n_dim):
+        out = out[..., None] * np.sin(wav[a] * np.pi * grid.axis_centers(a) / grid.lengths[a])
+    return out
+
+
 def _mode_table(grid: Grid, count: int) -> list[tuple[float, tuple[int, ...], int]]:
-    """First `count` (eigenvalue, wavenumbers, component) triples by eigenvalue."""
-    ks = [range(1, grid.cells[a] + 1) for a in range(grid.n_dim)]
-    entries = []
-    for idx in np.ndindex(*[len(k) for k in ks]):
-        wav = tuple(int(idx[a]) + 1 for a in range(grid.n_dim))
-        mu = sum((wav[a] * np.pi / grid.lengths[a]) ** 2 for a in range(grid.n_dim))
-        for comp in range(grid.n_dim):
-            entries.append((float(mu), wav, comp))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return entries[:count]
+    """First `count` (eigenvalue, wavenumbers, component) triples by eigenvalue.
+
+    Each axis term is the Python scalar (k pi / L)^2, whose libm ``pow`` the
+    spectrum's numpy squares do not always match.  The modes are laid out in
+    C order over (k_0, ..., comp), so a stable sort by eigenvalue orders ties
+    lexicographically by (wavenumbers, component).
+    """
+    mu = _outer_sum([
+        np.array([(k * np.pi / grid.lengths[a]) ** 2 for k in range(1, n + 1)])
+        for a, n in enumerate(grid.cells)
+    ]).ravel()
+    order = np.argsort(np.repeat(mu, grid.n_dim), kind="stable")[:count]
+    table = []
+    for i in order.tolist():
+        cell, comp = divmod(i, grid.n_dim)
+        wav = tuple(int(k) + 1 for k in np.unravel_index(cell, grid.cells))
+        table.append((float(mu[cell]), wav, comp))
+    return table
 
 
 @lru_cache(maxsize=4)
 def _noise_basis(grid: Grid, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Projected sine eigenfields scaled to graph-V norm sqrt(1 + mu_j)."""
-    coords = grid.meshgrid()
-    fields = []
-    mus = []
-    for mu, wav, comp in _mode_table(grid, count):
-        base = np.ones(grid.cells)
-        for a in range(grid.n_dim):
-            base = base * np.sin(wav[a] * np.pi * coords[a] / grid.lengths[a])
+    modes = _mode_table(grid, count)
+    table = grid.spectrum().dirichlet_eigenvalues
+    fields = np.empty((len(modes), grid.n_dim, *grid.cells))
+    for i, (mu, wav, comp) in enumerate(modes):
         vec = np.zeros((grid.n_dim, *grid.cells))
-        vec[comp] = base
+        vec[comp] = _sine_product(grid, wav)
         proj = leray_project(grid, vec)
         coeff = sine_transform(grid, proj)
-        table = grid.spectrum().dirichlet_eigenvalues
         graph_sq = float(np.sum((1.0 + table) * coeff * coeff) * grid.cell_volume)
-        fields.append(proj * np.sqrt((1.0 + mu) / graph_sq))
-        mus.append(mu)
-    return np.stack(fields), np.asarray(mus)
+        np.multiply(proj, np.sqrt((1.0 + mu) / graph_sq), out=fields[i])
+    return fields, np.array([mu for mu, _, _ in modes])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import slcsim
 import slcsim.cli
+import slcsim.integrators
 from slcsim.cli import main
 from slcsim.config import SimConfig, default_config, parse_config, to_text, validate
 from slcsim.diagnostics import ProbeResult
@@ -505,6 +506,33 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["em", "picard"])
+def test_non_finite_initial_state_fails_before_the_first_step(tmp_path, monkeypatch, scheme):
+    """The Leray projection of an amplitude-1e308 vortex overflows, so the
+    state at t = 0 is already NaN: the run ends at step 0 without stepping."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken from a non-finite initial state")
+
+    monkeypatch.setattr(slcsim.integrators, "em_step", no_step)
+    monkeypatch.setattr(slcsim.integrators, "picard_solve", no_step)
+    text = (SMALL.replace("horizon = 0.005", "horizon = 0.004")
+            + "\n[initial]\nvelocity_amplitude = 1e308\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", str(_write_config(tmp_path, text)),
+                         "--scheme", scheme, "--out", str(out)])
+    assert code == 3
+    run = json.loads((out / "run.json").read_text())
+    assert run["status"] == "numerical_failure"
+    assert run["steps_completed"] == 0
+    assert run["failure"] == {"step": 0, "time": "0", "fields": ["v"]}
+    assert run["windows"] == []
+    rows = (out / "trajectory_000000.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[:2] == ["0", "nan"]  # the t = 0 row only
+
+
 def test_invalid_config_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[time]\ndt = -0.5\n")
@@ -553,6 +581,27 @@ def test_domain_error_exits_two_with_one_line_and_no_traceback(tmp_path):
         "domain error: window converged too fast to measure a contraction ratio"
     ]
     assert not (tmp_path / "o" / "probes_report.json").exists()
+
+
+def test_config_syntax_error_exits_two_with_one_line_and_no_traceback(tmp_path):
+    # configparser's own message spans three lines for this file
+    cfg_path = _write_config(tmp_path, "garbage\n")
+    proc = _python("-m", "slcsim.cli", "run", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("configuration error: config syntax: File contains no section")
+
+
+def test_run_never_imports_the_process_pool(tmp_path):
+    # only an ensemble with more than one worker needs concurrent.futures
+    cfg_path = _write_config(tmp_path, SMALL.replace("horizon = 0.005", "horizon = 0.002"))
+    proc = _python("-c", "import json, slcsim.cli, sys; code = slcsim.cli.main(['run', "
+                   f"'--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+                   "print(json.dumps([code, 'concurrent.futures' in sys.modules]))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
 
 
 def test_cli_import_loads_no_scipy_fft_or_special():

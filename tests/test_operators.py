@@ -2,8 +2,12 @@
 
 The cancellation checks (skew-symmetry, projector algebra) are exact
 discrete statements and get roundoff-level tolerances; consistency checks
-against the continuum get Richardson slopes instead.
+against the continuum get Richardson slopes instead.  The noise-mode table,
+the noise basis and the magnetic bump are pinned bitwise against the
+enumerate-and-sort and meshgrid constructions kept here as oracles.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from slcsim.operators import (
     NoiseCoefficientSpec,
     OperatorCache,
     _flux_divergence,
+    _mode_table,
+    _noise_basis,
     assemble_L,
     b1,
     b2,
@@ -405,6 +411,86 @@ def test_director_increment_is_scaled_cross_product():
     d = _rand_vec(83, comps=3)
     out = director_noise_increment(cache, d, 0.37)
     np.testing.assert_allclose(out, 0.37 * g_cross(d, cache.h_field), atol=1e-15)
+
+
+def _enumerated_mode_table(grid, count):
+    """Every (eigenvalue, wavenumbers, component) triple as a Python tuple,
+    sorted; the first ``count``."""
+    entries = []
+    for idx in np.ndindex(*grid.cells):
+        wav = tuple(int(i) + 1 for i in idx)
+        mu = sum((wav[a] * np.pi / grid.lengths[a]) ** 2 for a in range(grid.n_dim))
+        for comp in range(grid.n_dim):
+            entries.append((float(mu), wav, comp))
+    entries.sort(key=lambda e: (e[0], e[1], e[2]))
+    return entries[:count]
+
+
+def _meshgrid_noise_basis(grid, count):
+    """The scaled projected sine modes, built on the full coordinate mesh and
+    stacked."""
+    coords = grid.meshgrid()
+    fields, mus = [], []
+    for mu, wav, comp in _enumerated_mode_table(grid, count):
+        base = np.ones(grid.cells)
+        for a in range(grid.n_dim):
+            base = base * np.sin(wav[a] * np.pi * coords[a] / grid.lengths[a])
+        vec = np.zeros((grid.n_dim, *grid.cells))
+        vec[comp] = base
+        proj = leray_project(grid, vec)
+        coeff = sine_transform(grid, proj)
+        table = grid.spectrum().dirichlet_eigenvalues
+        graph_sq = float(np.sum((1.0 + table) * coeff * coeff) * grid.cell_volume)
+        fields.append(proj * np.sqrt((1.0 + mu) / graph_sq))
+        mus.append(mu)
+    return np.stack(fields), np.asarray(mus)
+
+
+_MODE_GRIDS = [
+    ((64, 64), (1.0, 1.0)),
+    ((16, 16), (1.0, 1.0)),
+    ((32, 16), (1.0, 0.7)),
+    ((16, 64), (1.0, 2.5)),
+    ((8, 8, 16), (1.0, 1.0, 1.0)),
+    ((16, 32, 8), (0.3, 1.7, 2.9)),
+]
+_MODE_CASES = [(cells, lengths, count) for cells, lengths in _MODE_GRIDS for count in (1, 16)]
+_MODE_CASES += [((4, 4), (1.0, 1.0), count) for count in range(1, 33)]  # every mode of 4x4
+
+
+@pytest.mark.parametrize("cells, lengths, count", _MODE_CASES)
+def test_noise_modes_match_the_enumerated_oracle_bitwise(cells, lengths, count):
+    grid = build_grid(len(cells), cells, lengths)
+    # repr also tells a Python float or int from a numpy scalar
+    assert repr(_mode_table(grid, count)) == repr(_enumerated_mode_table(grid, count))
+    fields, mus = _noise_basis.__wrapped__(grid, count)
+    oracle_fields, oracle_mus = _meshgrid_noise_basis(grid, count)
+    assert _same_bytes(fields, oracle_fields)
+    assert _same_bytes(mus, oracle_mus)
+
+
+@pytest.mark.parametrize("cells, lengths", _MODE_GRIDS)
+def test_magnetic_bump_matches_the_meshgrid_product_bitwise(cells, lengths):
+    grid = build_grid(len(cells), cells, lengths)
+    bump = np.ones(grid.cells)
+    for a, x in enumerate(grid.meshgrid()):
+        bump = bump * np.sin(np.pi * x / grid.lengths[a])
+    h = MagneticFieldSpec(profile="sine_bump", amplitude=0.37).build(grid)
+    assert h[0].tobytes() == (0.37 * bump).tobytes()
+
+
+def test_noise_basis_is_built_in_place():
+    # a list of modes stacked into the basis peaks at about 2.4 basis sizes
+    grid = build_grid(2, (64, 64), (1.0, 1.0))
+    fields, _ = _noise_basis.__wrapped__(grid, 16)  # warm the per-grid tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _noise_basis.__wrapped__(grid, 16)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * fields.nbytes
 
 
 # ---------------------------------------------------------------------------
