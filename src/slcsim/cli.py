@@ -1,8 +1,9 @@
 """Batch front end: single runs, ensembles, probe suites, config echo.
 
 Output layout is deliberately boring: a manifest written before any
-compute, one CSV per trajectory, one JSON with the ensemble fit, binary
-snapshots only when asked.  Identical (config, seed) pairs must produce
+compute with status "running" and rewritten once the verb ends ("complete",
+or "aborted: <the stderr line>" on exit 2), one CSV per trajectory, one JSON
+with the ensemble fit, binary snapshots only when asked.  Identical (config, seed) pairs must produce
 identical bytes, so nothing here records wall-clock time or hostnames.
 
 Exit codes: 0 success, 1 a Picard window did not converge, 2 configuration,
@@ -75,20 +76,38 @@ def _exit_code(records: list[TrajectoryRecord]) -> int:
     return 0
 
 
-def _write_manifest(out: Path, verb: str, cfg: SimConfig, outputs: list[str]) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "verb": verb,
-        "version": __version__,
-        "seed": cfg.seed,
-        "trajectories": cfg.trajectories,
-        "scheme": cfg.scheme,
-        "config": to_text(cfg),
-        "outputs": sorted(outputs),
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class _Manifest:
+    """``manifest.json``: written with status "running" before any compute,
+    then rewritten once with how the verb ended."""
+
+    def __init__(self) -> None:
+        self.path: Path | None = None
+        self.fields: dict = {}
+
+    def write(self, out: Path, verb: str, cfg: SimConfig, outputs: list[str]) -> None:
+        out.mkdir(parents=True, exist_ok=True)
+        self.path = out / "manifest.json"
+        self.fields = {
+            "verb": verb,
+            "version": __version__,
+            "seed": cfg.seed,
+            "trajectories": cfg.trajectories,
+            "scheme": cfg.scheme,
+            "config": to_text(cfg),
+            "outputs": sorted(outputs),
+        }
+        self._dump("running")
+
+    def finish(self, status: str) -> None:
+        """Record "complete" or "aborted: <reason>"; a no-op for a verb that
+        wrote no manifest."""
+        if self.path is not None:
+            self._dump(status)
+
+    def _dump(self, status: str) -> None:
+        with open(self.path, "w") as fh:
+            json.dump({**self.fields, "status": status}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _fmt(x: float) -> str:
@@ -147,10 +166,10 @@ def _run_one(payload: tuple[SimConfig, int]) -> TrajectoryRecord:
 # verbs
 # ---------------------------------------------------------------------------
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, manifest: _Manifest) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
-    _write_manifest(out, "run", cfg, ["trajectory_000000.csv", "run.json"])
+    manifest.write(out, "run", cfg, ["trajectory_000000.csv", "run.json"])
     sink = _snapshot_sink(out, "trajectory_000000") if cfg.save_snapshots else None
     rec = run_trajectory(cfg, trajectory=0, snapshot_sink=sink)
     _write_series_csv(out / "trajectory_000000.csv", rec)
@@ -161,11 +180,11 @@ def _cmd_run(args) -> int:
     return _exit_code([rec])
 
 
-def _cmd_ensemble(args) -> int:
+def _cmd_ensemble(args, manifest: _Manifest) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     names = [f"trajectory_{i:06d}.csv" for i in range(cfg.trajectories)]
-    _write_manifest(out, "ensemble", cfg, names + ["summary.csv", "ensemble.json"])
+    manifest.write(out, "ensemble", cfg, names + ["summary.csv", "ensemble.json"])
 
     jobs = [(cfg, i) for i in range(cfg.trajectories)]
     workers = _workers(cfg.trajectories)
@@ -214,10 +233,10 @@ def _cmd_ensemble(args) -> int:
     return _exit_code(records)
 
 
-def _cmd_probes(args) -> int:
+def _cmd_probes(args, manifest: _Manifest) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
-    _write_manifest(out, "probes", cfg, ["probes_report.json"])
+    manifest.write(out, "probes", cfg, ["probes_report.json"])
     results = probe_suite(
         seed=cfg.seed, include_contraction=not args.skip_contraction, cfg=cfg
     )
@@ -245,7 +264,7 @@ def _cmd_probes(args) -> int:
     return 0 if all_passed else EXIT_PROBE_FAILED
 
 
-def _cmd_describe_config(args) -> int:
+def _cmd_describe_config(args, manifest: _Manifest) -> int:
     cfg = _load_config(args)
     sys.stdout.write(to_text(cfg))
     return 0
@@ -297,19 +316,31 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _abort(manifest: _Manifest, kind: str, exc: Exception) -> int:
+    """Report ``exc`` as one stderr line, whatever line boundaries its message
+    carries, and record it in the manifest if the verb wrote one."""
+    line = f"{kind}: {' '.join(str(exc).splitlines())}"
+    print(line, file=sys.stderr)
+    try:
+        manifest.finish(f"aborted: {line}")
+    except OSError:
+        pass  # the stderr line already says why the verb stopped
+    return 2
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    manifest = _Manifest()
     try:
-        return args.fn(args)
+        code = args.fn(args, manifest)
+        manifest.finish("complete")
+        return code
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        return _abort(manifest, "configuration error", exc)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+        return _abort(manifest, "i/o error", exc)
     except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
+        return _abort(manifest, "domain error", exc)
 
 
 if __name__ == "__main__":

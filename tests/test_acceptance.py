@@ -24,7 +24,7 @@ from slcsim.diagnostics import (
     gn_linf_ratio,
     lipschitz_probe_F,
     max_principle_gap,
-    random_probe_state,
+    random_probe_states,
     random_smooth_scalar,
     random_smooth_vector,
     richardson_order,
@@ -240,8 +240,8 @@ def test_criterion_8_inequality_probe_stability():
     for amp in (0.5, 1.0, 2.0):
         worst = 0.0
         for k in range(100):
-            y1 = random_probe_state(g32, 5 * k, amplitude=amp)
-            y2 = random_probe_state(g32, 5 * k + 50000, amplitude=amp)
+            y1 = random_probe_states(g32, 5 * k, (amp,))[0]
+            y2 = random_probe_states(g32, 5 * k + 50000, (amp,))[0]
             worst = max(worst, lipschitz_probe_F(y1, y2))
         estimates.append(worst)
     assert max(estimates) / min(estimates) <= 3.0, f"lipschitz: {estimates}"

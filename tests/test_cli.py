@@ -594,6 +594,74 @@ def test_config_syntax_error_exits_two_with_one_line_and_no_traceback(tmp_path):
     assert line.startswith("configuration error: config syntax: File contains no section")
 
 
+def test_error_message_with_a_unicode_line_separator_is_one_line(tmp_path):
+    # U+2028 in a section name is echoed into the message, and splitlines()
+    # breaks on it as on a newline
+    cfg_path = tmp_path / "sep.ini"
+    cfg_path.write_text("[a\u2028b]\n", encoding="utf-8")
+    proc = _python("-m", "slcsim.cli", "run", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("configuration error: ")
+
+
+# the issue's at-rest repro: no forcing and no motion, so the contraction
+# probe runs out of ratios after the rest of the suite has run
+REST = """
+[grid]
+cells = 16 16
+
+[velocity_noise]
+sigma = 0
+
+[magnetic]
+amplitude = 0
+
+[initial]
+velocity_amplitude = 0
+director = uniform
+director_amplitude = 1
+"""
+
+
+def _status(out: Path) -> str:
+    return json.loads((out / "manifest.json").read_text())["status"]
+
+
+def test_manifest_status_records_how_the_verb_ended(tmp_path, monkeypatch, capsys):
+    cfg_path = _write_config(tmp_path, REST)
+    out = tmp_path / "aborted"
+    assert main(["probes", "--config", str(cfg_path), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "domain error: window converged too fast to measure a contraction ratio"
+    assert _status(out) == f"aborted: {line}"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    # a verb that returns, whatever its exit code, completes its manifest;
+    # while it computes, the manifest says it is running
+    seen = []
+
+    def failing(**kwargs):
+        seen.append(_status(tmp_path / "failed"))
+        return [ProbeResult("b1_skew_symmetry", 2.0, 0.0, 1.0, False)]
+
+    monkeypatch.setattr(slcsim.cli, "probe_suite", failing)
+    assert main(["probes", "--out", str(tmp_path / "failed")]) == 4
+    assert seen == ["running"]
+    assert _status(tmp_path / "failed") == "complete"
+
+    cfg_path = _write_config(tmp_path)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    assert _status(tmp_path / "run") == "complete"
+
+    # an error before the manifest is written leaves no manifest behind
+    bad = _write_config(tmp_path, "[grid]\ncells = 3 3\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "none")]) == 2
+    assert not (tmp_path / "none").exists()
+
+
 def test_run_never_imports_the_process_pool(tmp_path):
     # only an ensemble with more than one worker needs concurrent.futures
     cfg_path = _write_config(tmp_path, SMALL.replace("horizon = 0.005", "horizon = 0.002"))

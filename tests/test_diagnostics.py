@@ -39,7 +39,7 @@ from slcsim.diagnostics import (
     phi_rate,
     probe_suite,
     psi_functional,
-    random_probe_state,
+    random_probe_states,
     random_smooth_scalar,
     random_smooth_vector,
     remark_ratio,
@@ -188,8 +188,8 @@ def test_phi_increment_is_rate_times_dt():
 # ---------------------------------------------------------------------------
 
 def test_lipschitz_probe_is_positive_finite_and_rejects_identical_states():
-    y1 = random_probe_state(G32, seed=4)
-    y2 = random_probe_state(G32, seed=104)
+    [y1] = random_probe_states(G32, 4, (1.0,))
+    [y2] = random_probe_states(G32, 104, (1.0,))
     ratio = lipschitz_probe_F(y1, y2)
     assert np.isfinite(ratio) and ratio > 0.0
     with pytest.raises(DomainError):
@@ -233,11 +233,29 @@ def _five_norm_lipschitz(y1, y2):
 @pytest.mark.parametrize("grid", [G32, build_grid(3, (8, 8, 16), (1.0, 1.0, 2.0))],
                          ids=["square", "3d"])
 def test_lipschitz_probe_matches_five_norm_composition_exactly(grid):
-    for amp in (0.5, 1.0, 2.0):
-        for k in range(3):
-            y1 = random_probe_state(grid, 5 * k, amplitude=amp)
-            y2 = random_probe_state(grid, 5 * k + 50000, amplitude=amp)
+    for k in range(3):
+        for y1, y2 in zip(random_probe_states(grid, 5 * k, (0.5, 1.0, 2.0)),
+                          random_probe_states(grid, 5 * k + 50000, (0.5, 1.0, 2.0))):
             assert lipschitz_probe_F(y1, y2) == _five_norm_lipschitz(y1, y2)
+
+
+@pytest.mark.parametrize("grid", [G32, build_grid(3, (8, 8, 16), (1.0, 1.0, 2.0))],
+                         ids=["square", "3d"])
+def test_random_probe_states_match_per_amplitude_draws_bitwise(grid):
+    """One draw scaled by a power of two is the draw at that amplitude: the
+    per-amplitude construction, kept here as the oracle, gives the same bytes."""
+    amplitudes = (0.5, 1.0, 2.0)
+    for seed in (0, 7, 50005, 123456):
+        states = random_probe_states(grid, seed, amplitudes)
+        assert len(states) == len(amplitudes)
+        for amp, state in zip(amplitudes, states):
+            v = leray_project(grid, random_smooth_vector(
+                grid, seed, grid.n_dim, bc_kind="dirichlet", amplitude=amp))
+            d = random_smooth_vector(grid, seed + 1, 3, bc_kind="neumann", amplitude=0.5 * amp)
+            d[2] += 1.0
+            assert state.v.tobytes() == v.tobytes()
+            assert state.d.tobytes() == d.tobytes()
+            assert state.grid is grid and state.t == 0.0
 
 
 def test_remark_ratio_positive_and_stable_under_refinement():
@@ -355,7 +373,7 @@ def test_random_smooth_scalar_samples_one_continuum_function():
 def test_random_probe_state_is_solenoidal_with_anchored_director():
     from slcsim.grid import divergence
 
-    state = random_probe_state(G32, seed=8)
+    [state] = random_probe_states(G32, 8, (1.0,))
     assert float(np.max(np.abs(divergence(G32, state.v)))) <= 1e-10
     mag = np.sqrt(np.sum(state.d**2, axis=0))
     assert 0.2 <= float(np.min(mag)) and float(np.max(mag)) <= 2.5
