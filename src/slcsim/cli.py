@@ -27,7 +27,7 @@ from .config import SimConfig, default_config, parse_config_file, to_text, valid
 from .diagnostics import ensemble_energy_bound, probe_suite
 from .errors import ConfigError, DomainError
 from .fields import write_snapshot
-from .integrators import _SERIES_KEYS, TrajectoryRecord, run_trajectory
+from .integrators import _SERIES_KEYS, TrajectoryRecord, run_ensemble, run_trajectory
 
 WORKERS_ENV = "SLCSIM_WORKERS"
 EXIT_ITERATION_FAILED = 1
@@ -54,9 +54,8 @@ def _load_config(args) -> SimConfig:
     return cfg
 
 
-def _workers(trajectories: int) -> int:
-    """Worker processes for an ensemble: SLCSIM_WORKERS, capped at the
-    trajectory count and the CPU count."""
+def _workers() -> int:
+    """Worker processes asked for an ensemble: SLCSIM_WORKERS, default 1."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         n = int(raw)
@@ -64,7 +63,7 @@ def _workers(trajectories: int) -> int:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
     if n < 1:
         raise ConfigError(f"{WORKERS_ENV} must be >= 1")
-    return min(n, trajectories, os.cpu_count() or 1)
+    return n
 
 
 def _exit_code(records: list[TrajectoryRecord]) -> int:
@@ -157,11 +156,6 @@ def _snapshot_sink(out: Path, tag: str):
     return sink
 
 
-def _run_one(payload: tuple[SimConfig, int]) -> TrajectoryRecord:
-    cfg, idx = payload
-    return run_trajectory(cfg, trajectory=idx)
-
-
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -182,21 +176,13 @@ def _cmd_run(args, manifest: _Manifest) -> int:
 
 def _cmd_ensemble(args, manifest: _Manifest) -> int:
     cfg = _load_config(args)
+    if cfg.save_snapshots:
+        raise ConfigError("ensemble writes no snapshots; save_snapshots is for run")
     out = Path(args.out)
     names = [f"trajectory_{i:06d}.csv" for i in range(cfg.trajectories)]
     manifest.write(out, "ensemble", cfg, names + ["summary.csv", "ensemble.json"])
 
-    jobs = [(cfg, i) for i in range(cfg.trajectories)]
-    workers = _workers(cfg.trajectories)
-    if workers == 1:
-        records = [_run_one(j) for j in jobs]
-    else:
-        # only a pooled ensemble pays for importing the pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, jobs))
-
+    records = run_ensemble(cfg, _workers())
     for rec, name in zip(records, names):
         _write_series_csv(out / name, rec)
 

@@ -288,6 +288,8 @@ def validate(cfg: SimConfig) -> None:
         errors.append("record_every must be at least 1")
     if cfg.snapshot_every < 0:
         errors.append("snapshot_every must be nonnegative")
+    elif cfg.save_snapshots and cfg.snapshot_every == 0:
+        errors.append("save_snapshots needs snapshot_every >= 1")
     if not 0 <= cfg.seed < 2**64:
         errors.append(f"seed must be an integer in [0, 2**64), got {cfg.seed}")
     if cfg.trajectories < 1:

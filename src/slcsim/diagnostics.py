@@ -303,10 +303,7 @@ def richardson_order(values, spacings) -> float:
 class EnsembleFit:
     c_growth: float
     violation_count: int
-    e0: float
-    n_trajectories: int
     times: np.ndarray
-    mean_energy: np.ndarray
 
 
 def ensemble_energy_bound(records) -> EnsembleFit:
@@ -333,10 +330,7 @@ def ensemble_energy_bound(records) -> EnsembleFit:
     return EnsembleFit(
         c_growth=c_fit,
         violation_count=violations,
-        e0=e0,
-        n_trajectories=len(records),
         times=times,
-        mean_energy=mean,
     )
 
 

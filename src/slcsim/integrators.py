@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,7 @@ __all__ = [
     "em_step",
     "picard_solve",
     "run_trajectory",
+    "run_ensemble",
 ]
 
 log = logging.getLogger(__name__)
@@ -482,3 +484,22 @@ def run_trajectory(
         windows=window_stats,
         non_finite=tuple(k for k in ("v", "d") if not np.all(np.isfinite(getattr(loop.state, k)))),
     )
+
+
+def _run_one(cfg: SimConfig, trajectory: int) -> TrajectoryRecord:
+    """The pool pickles this by name; it reads run_trajectory at call time."""
+    return run_trajectory(cfg, trajectory=trajectory)
+
+
+def run_ensemble(cfg: SimConfig, workers: int) -> list[TrajectoryRecord]:
+    """Trajectories 0 .. cfg.trajectories - 1 in order, run by at most
+    min(workers, cfg.trajectories, CPU count) processes; one runs them here."""
+    n = cfg.trajectories
+    workers = min(workers, n, os.cpu_count() or 1)
+    if workers == 1:
+        return [_run_one(cfg, i) for i in range(n)]
+    # only a pooled ensemble pays for importing the pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_one, [cfg] * n, range(n)))

@@ -322,12 +322,9 @@ class OperatorCache:
     ) -> None:
         self.grid = grid
         self.noise = noise
-        self.magnetic = magnetic
         self.eps = float(eps)
         self.h_field = magnetic.build(grid)
-        basis, mus = _noise_basis(grid, noise.mode_count)
-        self.noise_fields = basis
-        self.noise_mus = mus
+        self.noise_fields, mus = _noise_basis(grid, noise.mode_count)
         self.noise_weights = noise.sigma * (1.0 + mus) ** (-noise.decay_exponent)
 
 

@@ -9,6 +9,7 @@ exit code.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -32,7 +33,7 @@ from slcsim.config import SimConfig, default_config, parse_config, to_text, vali
 from slcsim.diagnostics import ProbeResult
 from slcsim.errors import ConfigError
 from slcsim.fields import read_snapshot
-from slcsim.integrators import run_trajectory
+from slcsim.integrators import run_ensemble, run_trajectory
 
 SERIES_KEYS = [
     "l2_v", "l2_d", "a_half_v", "a_v", "h2_d", "lap_d", "x1_d", "grad_d",
@@ -223,6 +224,7 @@ def _valid_configs(draw):
     dt = 2.0 ** -draw(st.integers(0, 14))
     cells = tuple(2 ** e for e in draw(st.lists(st.integers(2, 6), min_size=n_dim,
                                                 max_size=n_dim)))
+    save_snapshots = draw(st.booleans())  # which needs a snapshot cadence
     return SimConfig(
         n_dim=n_dim,
         cells=cells,
@@ -254,8 +256,8 @@ def _valid_configs(draw):
         director_diffusion=draw(st.booleans()),
         enable_penalty=draw(st.booleans()),
         enable_transport=draw(st.booleans()),
-        save_snapshots=draw(st.booleans()),
-        snapshot_every=draw(st.integers(0, 1000)),
+        save_snapshots=save_snapshots,
+        snapshot_every=draw(st.integers(1 if save_snapshots else 0, 1000)),
         seed=draw(st.integers(0, 2**63)),
         trajectories=draw(st.integers(1, 4096)),
     )
@@ -345,6 +347,21 @@ def test_run_seed_override_changes_the_noise(tmp_path):
     assert a != b
 
 
+@pytest.mark.parametrize("verb, output", [
+    ("run", "save_snapshots = true\n"),
+    ("ensemble", "save_snapshots = true\nsnapshot_every = 2\n"),
+])
+def test_snapshot_settings_that_would_write_nothing_are_rejected(tmp_path, capsys, verb,
+                                                                 output):
+    # run with no cadence, and ensemble at any cadence, would write no .slcf file
+    cfg_path = _write_config(tmp_path, SMALL + "\n[output]\n" + output)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+    assert not out.exists()                 # rejected before the manifest
+
+
 def test_run_writes_readable_snapshots_at_cadence(tmp_path):
     text = SMALL + "\n[output]\nsave_snapshots = true\nsnapshot_every = 2\n"
     cfg_path = _write_config(tmp_path, text)
@@ -397,16 +414,39 @@ def test_ensemble_worker_count_never_changes_bytes(tmp_path, monkeypatch):
 
 
 def test_worker_count_is_capped_by_trajectories_and_cpus(monkeypatch):
-    # _workers only computes the count; no process is started here
-    monkeypatch.setattr(slcsim.cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setenv("SLCSIM_WORKERS", "64")
-    assert slcsim.cli._workers(8) == 3
-    assert slcsim.cli._workers(2) == 2
-    monkeypatch.setenv("SLCSIM_WORKERS", "1")
-    assert slcsim.cli._workers(8) == 1
-    monkeypatch.setattr(slcsim.cli.os, "cpu_count", lambda: None)
-    monkeypatch.setenv("SLCSIM_WORKERS", "4")
-    assert slcsim.cli._workers(8) == 1
+    # no process is started here: a stand-in pool records the size
+    # run_ensemble asks for and maps in this process, and a stand-in
+    # run_trajectory returns its trajectory index
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *jobs):
+            return map(fn, *jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(slcsim.integrators, "run_trajectory", lambda cfg, trajectory: trajectory)
+
+    def processes(workers, trajectories):
+        sizes.clear()
+        records = run_ensemble(SimConfig(trajectories=trajectories), workers)
+        assert records == list(range(trajectories))
+        return sizes[0] if sizes else 1  # no pool: the trajectories ran in this process
+
+    monkeypatch.setattr(slcsim.integrators.os, "cpu_count", lambda: 3)
+    assert processes(64, 8) == 3
+    assert processes(64, 2) == 2
+    assert processes(1, 8) == 1
+    monkeypatch.setattr(slcsim.integrators.os, "cpu_count", lambda: None)
+    assert processes(4, 8) == 1
 
 
 @pytest.mark.parametrize("raw", ["notanint", "0", "-3"])

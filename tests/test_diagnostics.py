@@ -455,29 +455,34 @@ def _fake_record(times, energy):
 
 def test_ensemble_fit_recovers_exact_exponential_growth():
     t = np.linspace(0.0, 1.0, 11)
-    fit = ensemble_energy_bound([_fake_record(t, 2.0 * np.exp(0.7 * t))])
+    energy = 2.0 * np.exp(0.7 * t)
+    fit = ensemble_energy_bound([_fake_record(t, energy)])
     assert fit.c_growth == pytest.approx(0.7, abs=1e-10)
     assert fit.violation_count == 0
-    assert fit.e0 == 2.0
+    # E(0) exp(C t), with E(0) = 2 read off the record, is the energy itself
+    np.testing.assert_allclose(energy[0] * np.exp(fit.c_growth * fit.times), energy, rtol=1e-9)
 
 
 def test_ensemble_fit_reports_zero_growth_for_decaying_energy():
     t = np.linspace(0.0, 1.0, 11)
-    fit = ensemble_energy_bound([_fake_record(t, np.exp(-t))])
+    energy = np.exp(-t)
+    fit = ensemble_energy_bound([_fake_record(t, energy)])
     assert fit.c_growth == 0.0
     assert fit.violation_count == 0
-    assert np.all(fit.mean_energy <= fit.e0)
+    assert np.all(energy <= energy[0] * np.exp(fit.c_growth * fit.times))
 
 
 def test_ensemble_fit_truncates_to_common_length_and_averages():
     t_long = np.linspace(0.0, 1.0, 9)
+    growing = 2.0 * np.exp(t_long)
     fit = ensemble_energy_bound([
-        _fake_record(t_long, np.full(9, 2.0)),
+        _fake_record(t_long, growing),
         _fake_record(t_long[:5], np.full(5, 4.0)),
     ])
-    assert fit.n_trajectories == 2
     assert len(fit.times) == 5
-    assert fit.e0 == 3.0                 # mean of the two initial energies
+    # over the common range t <= 0.5 the mean of the two records is e^t + 2,
+    # so E(0) = 3, and its steepest log-slope against E(0) is the one to 0.5
+    assert fit.c_growth == pytest.approx(np.log((np.exp(0.5) + 2.0) / 3.0) / 0.5, rel=1e-12)
 
 
 def test_ensemble_fit_rejects_empty_or_zero_energy_input():

@@ -36,6 +36,7 @@ from slcsim.integrators import (
     em_step,
     initial_state,
     picard_solve,
+    run_ensemble,
     run_trajectory,
     theta_cutoff,
 )
@@ -770,6 +771,21 @@ def test_em_and_picard_agree_on_shared_noise():
     rel_d = np.linalg.norm(a.terminal.d - b.terminal.d) / np.linalg.norm(a.terminal.d)
     assert rel_v <= 0.08
     assert rel_d <= 0.01
+
+
+def test_run_ensemble_is_the_same_serial_and_pooled():
+    """Two trajectories in this process and over two processes give equal
+    records, to the byte, down to the terminal fields."""
+    cfg = _cfg(trajectories=2)
+    serial, pooled = run_ensemble(cfg, 1), run_ensemble(cfg, 2)
+    assert [r.trajectory for r in serial] == [r.trajectory for r in pooled] == [0, 1]
+    for a, b in zip(serial, pooled):
+        assert (a.status, a.steps_completed) == (b.status, b.steps_completed)
+        assert a.times.tobytes() == b.times.tobytes()
+        for k in SERIES_KEYS:
+            assert a.series[k].tobytes() == b.series[k].tobytes(), k
+        assert a.terminal.v.tobytes() == b.terminal.v.tobytes()
+        assert a.terminal.d.tobytes() == b.terminal.d.tobytes()
 
 
 def test_trajectory_rejects_mismatched_path_mode_count():

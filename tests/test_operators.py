@@ -361,6 +361,9 @@ def test_forcing_mass_two_ways():
     """sigma^2 sum (1+mu_j)^{1-2s} computed from the table and from the fields."""
     cache = _cache()
     mu = G.spectrum().dirichlet_eigenvalues
+    # on the unit square mu_j = pi^2 (k_0^2 + k_1^2); the eight lowest modes
+    # are wavenumbers (1,1), (1,2), (2,1) and (2,2), each in both components
+    mus = np.pi**2 * np.array([2.0, 2.0, 5.0, 5.0, 5.0, 5.0, 8.0, 8.0])
     from_fields = 0.0
     for j in range(cache.noise_fields.shape[0]):
         psi = cache.noise_fields[j]
@@ -368,10 +371,10 @@ def test_forcing_mass_two_ways():
         a_half_sq = float(np.sum(mu * coeff * coeff) * G.cell_volume)
         graph_sq = l2_norm(G, psi) ** 2 + a_half_sq
         # each mode is normalized so its graph norm squared is 1 + mu_j
-        assert graph_sq == pytest.approx(1.0 + cache.noise_mus[j], rel=1e-10)
+        assert graph_sq == pytest.approx(1.0 + mus[j], rel=1e-10)
         from_fields += cache.noise_weights[j] ** 2 * graph_sq
     s = cache.noise.decay_exponent
-    from_table = cache.noise.sigma**2 * np.sum((1.0 + cache.noise_mus) ** (1.0 - 2.0 * s))
+    from_table = cache.noise.sigma**2 * np.sum((1.0 + mus) ** (1.0 - 2.0 * s))
     assert from_fields == pytest.approx(from_table, rel=1e-10)
 
 

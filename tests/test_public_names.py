@@ -8,6 +8,10 @@ source, outside its own definition.  A reference is an ``ast.Name`` or an
 names the package itself re-exports in ``slcsim.__all__`` are its public
 API and are exempt.
 
+Every dataclass field and every ``self.x =`` attribute of a class defined in
+the package must be read, as an ``ast.Attribute`` load, somewhere in the
+package's source.
+
 Every name an ``import`` binds, in the package and in its tests, must occur
 as an ``ast.Name`` in the same module.  Names the module lists in
 ``__all__`` are re-exports and ``from __future__`` imports are directives;
@@ -74,6 +78,45 @@ def test_every_public_name_is_reached_from_the_package():
         if everywhere[name] == _references(node)[name]
     ]
     assert unreached == []
+
+
+# what the public read_snapshot returns: its fields are the header a caller reads
+READ_BY_CALLERS = {"SnapshotMeta"}
+
+
+def _attributes(cls: ast.ClassDef) -> set[str]:
+    """The dataclass fields and ``self.x =`` attributes of ``cls``."""
+    names = {
+        n.attr
+        for n in ast.walk(cls)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name) and n.value.id == "self"
+    }
+    if any("dataclass" in _references(d) for d in cls.decorator_list):
+        names |= {
+            n.target.id
+            for n in cls.body
+            if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+        }
+    return names
+
+
+def test_every_attribute_is_read_in_the_package():
+    trees = _trees()
+    read = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{module}.{cls.name}.{attr}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name not in READ_BY_CALLERS
+        for attr in _attributes(cls) - read
+    )
+    assert unread == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
