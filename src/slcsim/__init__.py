@@ -8,7 +8,7 @@ structure mechanically.
 
 __version__ = "0.1.0"
 
-from .config import SimConfig, default_config, parse_config, parse_config_file, to_text
+from .config import SimConfig, parse_config, parse_config_file, to_text
 from .errors import ConfigError, DomainError
 from .fields import State, read_snapshot, write_snapshot
 from .grid import Grid, build_grid
@@ -18,7 +18,6 @@ from .noise import BrownianPath, refine, sample_path
 __all__ = [
     "__version__",
     "SimConfig",
-    "default_config",
     "parse_config",
     "parse_config_file",
     "to_text",

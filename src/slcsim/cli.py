@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import SimConfig, default_config, parse_config_file, to_text, validate
+from .config import SimConfig, parse_config_file, to_text
 from .diagnostics import ensemble_energy_bound, probe_suite
 from .errors import ConfigError, DomainError
 from .fields import write_snapshot
@@ -40,7 +40,7 @@ EXIT_PROBE_FAILED = 4
 # ---------------------------------------------------------------------------
 
 def _load_config(args) -> SimConfig:
-    cfg = parse_config_file(args.config) if args.config else default_config()
+    cfg = parse_config_file(args.config) if args.config else SimConfig()
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -48,10 +48,7 @@ def _load_config(args) -> SimConfig:
         overrides["trajectories"] = args.trajectories
     if args.scheme is not None:
         overrides["scheme"] = args.scheme
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-        validate(cfg)
-    return cfg
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _workers() -> int:
@@ -164,8 +161,8 @@ def _cmd_run(args, manifest: _Manifest) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     manifest.write(out, "run", cfg, ["trajectory_000000.csv", "run.json"])
-    sink = _snapshot_sink(out, "trajectory_000000") if cfg.save_snapshots else None
-    rec = run_trajectory(cfg, trajectory=0, snapshot_sink=sink)
+    rec = run_trajectory(cfg, trajectory=0,
+                         snapshot_sink=_snapshot_sink(out, "trajectory_000000"))
     _write_series_csv(out / "trajectory_000000.csv", rec)
     with open(out / "run.json", "w") as fh:
         json.dump(_traj_summary(rec), fh, indent=2, sort_keys=True)
@@ -176,13 +173,14 @@ def _cmd_run(args, manifest: _Manifest) -> int:
 
 def _cmd_ensemble(args, manifest: _Manifest) -> int:
     cfg = _load_config(args)
-    if cfg.save_snapshots:
-        raise ConfigError("ensemble writes no snapshots; save_snapshots is for run")
+    if cfg.snapshot_every:
+        raise ConfigError("ensemble writes no snapshots; snapshot_every is for run")
+    workers = _workers()
     out = Path(args.out)
     names = [f"trajectory_{i:06d}.csv" for i in range(cfg.trajectories)]
     manifest.write(out, "ensemble", cfg, names + ["summary.csv", "ensemble.json"])
 
-    records = run_ensemble(cfg, _workers())
+    records = run_ensemble(cfg, workers)
     for rec, name in zip(records, names):
         _write_series_csv(out / name, rec)
 

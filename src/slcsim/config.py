@@ -1,11 +1,14 @@
 """Run configuration: parsing, validation, canonical serialization.
 
-The on-disk format is sectioned ``key = value`` text (INI).  Parsing is
-strict: unknown sections or keys are errors, and every violation found is
-reported in one aggregated one-line message rather than first-failure-wins.
-A round trip through ``to_text``/``parse_config`` is lossless.  Step counts
-are never rounded: ``horizon/dt``, and for Picard ``window/dt``, must be
-whole numbers of steps.
+A ``SimConfig`` is validated on construction, ``dataclasses.replace``
+included, so every config that exists is valid.  The on-disk format is
+sectioned ``key = value`` text (INI), each value parsed as the type of its
+field's default.  Parsing is strict: unknown sections or keys are errors,
+and every violation found is reported in one aggregated one-line message
+rather than first-failure-wins.  A round trip through
+``to_text``/``parse_config`` is lossless.  Step counts are never rounded:
+``horizon/dt``, and for Picard ``window/dt``, must be whole numbers of
+steps.
 
 No physics parameter defaults silently: the resolved configuration, with
 every default filled in, is echoed into the run manifest before compute.
@@ -22,7 +25,7 @@ from .errors import ConfigError
 from .grid import Grid, build_grid
 from .operators import MagneticFieldSpec, NoiseCoefficientSpec
 
-__all__ = ["SimConfig", "parse_config", "parse_config_file", "to_text", "default_config"]
+__all__ = ["SimConfig", "parse_config", "parse_config_file", "to_text"]
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,13 @@ class SimConfig:
     enable_penalty: bool = True
     enable_transport: bool = True
     # [output]
-    save_snapshots: bool = False
     snapshot_every: int = 0
     # [run]
     seed: int = 0
     trajectories: int = 1
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     def grid(self) -> Grid:
         return build_grid(self.n_dim, self.cells, self.lengths)
@@ -96,75 +101,66 @@ class SimConfig:
         return _step_count(self.horizon, self.dt, "horizon")
 
 
-_SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
-    "grid": {"n_dim": ("n_dim", int), "cells": ("cells", tuple), "lengths": ("lengths", tuple)},
-    "time": {"dt": ("dt", float), "horizon": ("horizon", float), "scheme": ("scheme", str)},
-    "physics": {"eps": ("eps", float), "q": ("q", float)},
+_SCHEMA: dict[str, dict[str, str]] = {
+    "grid": {"n_dim": "n_dim", "cells": "cells", "lengths": "lengths"},
+    "time": {"dt": "dt", "horizon": "horizon", "scheme": "scheme"},
+    "physics": {"eps": "eps", "q": "q"},
     "velocity_noise": {
-        "kind": ("noise_kind", str),
-        "sigma": ("sigma", float),
-        "decay_exponent": ("decay_exponent", float),
-        "mode_count": ("mode_count", int),
-        "clip": ("clip", float),
+        "kind": "noise_kind",
+        "sigma": "sigma",
+        "decay_exponent": "decay_exponent",
+        "mode_count": "mode_count",
+        "clip": "clip",
     },
     "magnetic": {
-        "profile": ("magnetic_profile", str),
-        "amplitude": ("magnetic_amplitude", float),
+        "profile": "magnetic_profile",
+        "amplitude": "magnetic_amplitude",
     },
     "initial": {
-        "velocity": ("velocity_profile", str),
-        "velocity_amplitude": ("velocity_amplitude", float),
-        "director": ("director_profile", str),
-        "director_amplitude": ("director_amplitude", float),
+        "velocity": "velocity_profile",
+        "velocity_amplitude": "velocity_amplitude",
+        "director": "director_profile",
+        "director_amplitude": "director_amplitude",
     },
     "picard": {
-        "window": ("window", float),
-        "tolerance": ("tolerance", float),
-        "max_iterations": ("max_iterations", int),
-        "truncation_radius": ("truncation_radius", float),
+        "window": "window",
+        "tolerance": "tolerance",
+        "max_iterations": "max_iterations",
+        "truncation_radius": "truncation_radius",
     },
-    "stopping": {"thresholds": ("thresholds", tuple)},
+    "stopping": {"thresholds": "thresholds"},
     "diagnostics": {
-        "record_every": ("record_every", int),
-        "freeze_velocity": ("freeze_velocity", bool),
-        "director_diffusion": ("director_diffusion", bool),
-        "enable_penalty": ("enable_penalty", bool),
-        "enable_transport": ("enable_transport", bool),
+        "record_every": "record_every",
+        "freeze_velocity": "freeze_velocity",
+        "director_diffusion": "director_diffusion",
+        "enable_penalty": "enable_penalty",
+        "enable_transport": "enable_transport",
     },
-    "output": {
-        "save_snapshots": ("save_snapshots", bool),
-        "snapshot_every": ("snapshot_every", int),
-    },
-    "run": {"seed": ("seed", int), "trajectories": ("trajectories", int)},
+    "output": {"snapshot_every": "snapshot_every"},
+    "run": {"seed": "seed", "trajectories": "trajectories"},
 }
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def _convert(raw: str, kind: type, attr: str, errors: list[str]):
+def _convert(raw: str, attr: str, errors: list[str]):
+    """raw as the type of attr's default; a tuple's comma- or space-separated
+    parts each take the type of the default's first item."""
+    default = getattr(SimConfig, attr)
+    many = isinstance(default, tuple)
+    kind = type(default[0]) if many else type(default)
     raw = raw.strip()
+    parts = raw.replace(",", " ").split() if many else [raw]
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is bool:
-            if raw.lower() not in _BOOL:
-                raise ValueError(raw)
-            return _BOOL[raw.lower()]
-        if kind is tuple:
-            parts = raw.replace(",", " ").split()
-            if attr == "cells":
-                return tuple(int(p) for p in parts)
-            return tuple(float(p) for p in parts)
-        return raw
-    except ValueError:
-        errors.append(f"{attr}: cannot parse {raw!r} as {kind.__name__}")
+        vals = [_BOOL[p.lower()] if kind is bool else kind(p) for p in parts]
+    except (KeyError, ValueError):
+        errors.append(f"{attr}: cannot parse {raw!r} as {type(default).__name__}")
         return None
+    return tuple(vals) if many else vals[0]
 
 
 def parse_config(text: str) -> SimConfig:
-    """Parse sectioned key=value text into a validated SimConfig."""
+    """Parse sectioned key=value text into a SimConfig."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -182,17 +178,15 @@ def parse_config(text: str) -> SimConfig:
             if key not in _SCHEMA[section]:
                 errors.append(f"unknown key {key!r} in [{section}]")
                 continue
-            attr, kind = _SCHEMA[section][key]
-            val = _convert(raw, kind, attr, errors)
+            attr = _SCHEMA[section][key]
+            val = _convert(raw, attr, errors)
             if val is not None:
                 values[attr] = val
 
     if errors:
         raise ConfigError("invalid config: " + "; ".join(errors))
 
-    cfg = SimConfig(**values)
-    validate(cfg)
-    return cfg
+    return SimConfig(**values)
 
 
 def parse_config_file(path) -> SimConfig:
@@ -288,8 +282,6 @@ def validate(cfg: SimConfig) -> None:
         errors.append("record_every must be at least 1")
     if cfg.snapshot_every < 0:
         errors.append("snapshot_every must be nonnegative")
-    elif cfg.save_snapshots and cfg.snapshot_every == 0:
-        errors.append("save_snapshots needs snapshot_every >= 1")
     if not 0 <= cfg.seed < 2**64:
         errors.append(f"seed must be an integer in [0, 2**64), got {cfg.seed}")
     if cfg.trajectories < 1:
@@ -313,13 +305,7 @@ def to_text(cfg: SimConfig) -> str:
     out = io.StringIO()
     for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
-        for key, (attr, _) in keys.items():
+        for key, attr in keys.items():
             out.write(f"{key} = {_format(getattr(cfg, attr))}\n")
         out.write("\n")
     return out.getvalue()
-
-
-def default_config() -> SimConfig:
-    cfg = SimConfig()
-    validate(cfg)
-    return cfg

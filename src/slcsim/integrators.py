@@ -366,7 +366,7 @@ class _NodeLoop:
         self.dt = path.dt
         self.n_steps = path.n_steps
         self.trajectory = trajectory
-        self.sink = snapshot_sink if cfg.save_snapshots and cfg.snapshot_every > 0 else None
+        self.sink = snapshot_sink if cfg.snapshot_every else None
         self.state = initial_state(cfg, cache.grid)
         self.stopping = StoppingRecord(thresholds=tuple(cfg.thresholds))
         self.status = "completed"
@@ -440,9 +440,11 @@ def run_trajectory(
 ) -> TrajectoryRecord:
     """Integrate one trajectory to the horizon or a stopping event.
 
-    snapshot_sink, when given, is called as sink(step_index, state) at the
-    configured snapshot cadence (and for the initial state).  Under Picard a
-    window that is not a whole number of steps raises ConfigError.
+    ``path``, when given, sets dt and the step count in place of the
+    config's, which the oracles that refine one Brownian path rely on.
+    snapshot_sink, when given, is called as sink(step_index, state) every
+    ``cfg.snapshot_every`` steps (and for the initial state); a cadence of
+    0 calls it never.
     """
     grid = cfg.grid()
     cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)

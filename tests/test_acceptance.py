@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from slcsim.cli import main
-from slcsim.config import SimConfig, default_config
+from slcsim.config import SimConfig
 from slcsim.diagnostics import (
     contraction_slopes,
     duality_gap,
@@ -89,7 +89,7 @@ def test_criterion_2_duality_consistency_order():
 def test_criterion_3_maximum_principle_propagates():
     """Noisy default run at 64^2, horizon 1: starting inside the unit ball,
     the director never develops excess magnitude."""
-    cfg = default_config()                      # |d0| = 0.9 <= 1 everywhere
+    cfg = SimConfig()                           # |d0| = 0.9 <= 1 everywhere
     assert max_principle_gap(cfg.grid(), initial_state(cfg, cfg.grid()).d) == 0.0
     rec = run_trajectory(cfg)
     assert rec.status == "completed"
@@ -144,7 +144,7 @@ def test_criterion_5_fixed_point_machinery():
     2^-4 window of the default configuration; the contraction ratio scales
     with the window length at the expected rate; a slack truncation radius
     is exactly inert."""
-    cfg = dataclasses.replace(default_config(), dt=2.0**-10)
+    cfg = SimConfig(dt=2.0**-10)
     grid = cfg.grid()
     cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)
     y0 = initial_state(cfg, grid)
@@ -161,7 +161,7 @@ def test_criterion_5_fixed_point_machinery():
     v_b = spectral_summary(nodes_w[-1])["v_norm"]
     assert abs(v_a - v_b) <= cfg.tolerance
 
-    slope, ratios = contraction_slopes(default_config(), (0.015625, 0.03125, 0.0625))
+    slope, ratios = contraction_slopes(SimConfig(), (0.015625, 0.03125, 0.0625))
     assert 0.15 <= slope <= 0.35, f"slope {slope}, ratios {ratios}"
 
 
@@ -202,7 +202,7 @@ def test_criterion_7_nonexplosion_ensemble():
     against an absolute floor rather than a 0/0 relative error."""
     fits = []
     for seed in (0, 1):
-        cfg = dataclasses.replace(default_config(), seed=seed, record_every=5, trajectories=64)
+        cfg = SimConfig(seed=seed, record_every=5, trajectories=64)
         records = run_ensemble(cfg, os.cpu_count() or 1)
         assert all(r.status == "completed" for r in records)
         assert all(not r.stopping.hits for r in records)      # tau_1000 never hit

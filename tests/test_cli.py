@@ -29,11 +29,11 @@ import slcsim
 import slcsim.cli
 import slcsim.integrators
 from slcsim.cli import main
-from slcsim.config import SimConfig, default_config, parse_config, to_text, validate
+from slcsim.config import SimConfig, parse_config, to_text
 from slcsim.diagnostics import ProbeResult
 from slcsim.errors import ConfigError
 from slcsim.fields import read_snapshot
-from slcsim.integrators import run_ensemble, run_trajectory
+from slcsim.integrators import run_ensemble
 
 SERIES_KEYS = [
     "l2_v", "l2_d", "a_half_v", "a_v", "h2_d", "lap_d", "x1_d", "grad_d",
@@ -69,18 +69,16 @@ def _read_bytes(root: Path) -> dict[str, bytes]:
 # ---------------------------------------------------------------------------
 
 def test_default_config_round_trips_through_text():
-    cfg = default_config()
+    cfg = SimConfig()
     assert parse_config(to_text(cfg)) == cfg
 
 
 def test_customized_config_round_trips_through_text():
-    cfg = dataclasses.replace(
-        default_config(),
+    cfg = SimConfig(
         n_dim=3, cells=(8, 8, 16), lengths=(1.0, 1.0, 2.0),
         dt=2.5e-4, scheme="picard", freeze_velocity=True,
         thresholds=(10.0, 1000.0), sigma=0.125, seed=42,
     )
-    validate(cfg)
     assert parse_config(to_text(cfg)) == cfg
 
 
@@ -127,32 +125,53 @@ def test_validate_aggregates_constraint_violations():
         (dict(horizon=5e-4), ["horizon/dt must be an integer >= 1, got 0.5"]),
     ]
     for overrides, messages in cases:
-        cfg = dataclasses.replace(default_config(), **overrides)
         with pytest.raises(ConfigError) as err:
-            validate(cfg)
+            SimConfig(**overrides)
         for message in messages:
             assert message in str(err.value)
 
 
 def test_validate_accepts_step_counts_up_to_rounding():
     # 0.1 / 0.004 evaluates to 25.000000000000004; Euler-Maruyama has no window
-    validate(dataclasses.replace(default_config(), dt=0.004, horizon=0.1,
-                                 scheme="picard", window=0.02))
-    validate(dataclasses.replace(default_config(), window=0.0625))
+    SimConfig(dt=0.004, horizon=0.1, scheme="picard", window=0.02)
+    SimConfig(window=0.0625)
     assert SimConfig(dt=0.004, horizon=0.1).n_steps == 25
 
 
 def test_config_built_in_python_never_rounds_its_step_count():
-    # 0.0625 / 0.001 is 62.5 steps; validate is not called on this path
-    cfg = SimConfig(cells=(16, 16), horizon=0.0625, mode_count=8)
+    # 0.0625 / 0.001 is 62.5 steps
     with pytest.raises(ConfigError, match="horizon/dt must be an integer >= 1, got 62.5"):
-        cfg.n_steps
-    with pytest.raises(ConfigError):
-        run_trajectory(cfg)
+        SimConfig(cells=(16, 16), horizon=0.0625, mode_count=8)
     # 0.0035 / 0.001 is 3.5 steps per Picard window
-    cfg = SimConfig(cells=(16, 16), horizon=0.012, mode_count=8, scheme="picard", window=0.0035)
     with pytest.raises(ConfigError, match="picard window/dt must be an integer >= 1, got 3.5"):
-        run_trajectory(cfg)
+        SimConfig(cells=(16, 16), horizon=0.012, mode_count=8, scheme="picard", window=0.0035)
+
+
+# (field, a value no SimConfig may hold, the same value as INI text, the message)
+REJECTED_AT_CONSTRUCTION = [
+    ("record_every", 0, "[diagnostics]\nrecord_every = 0", "record_every must be at least 1"),
+    ("director_amplitude", 2.0, "[initial]\ndirector_amplitude = 2.0",
+     "director_amplitude must lie in (0, 1]"),
+    ("thresholds", (10.0, 1.0), "[stopping]\nthresholds = 10 1", "thresholds must be ascending"),
+    ("q", 1.0, "[physics]\nq = 1.0", "q must be at least 2, got 1.0"),
+    ("snapshot_every", -1, "[output]\nsnapshot_every = -1", "snapshot_every must be nonnegative"),
+    ("horizon", 0.0625, "[time]\nhorizon = 0.0625",
+     "horizon/dt must be an integer >= 1, got 62.5"),
+]
+
+
+@pytest.mark.parametrize("name, value, ini, message", REJECTED_AT_CONSTRUCTION,
+                         ids=[case[0] for case in REJECTED_AT_CONSTRUCTION])
+def test_config_built_in_python_is_rejected_as_its_ini_text_is(name, value, ini, message):
+    with pytest.raises(ConfigError) as from_ini:
+        parse_config(ini + "\n")
+    assert message in str(from_ini.value)
+    with pytest.raises(ConfigError) as built:
+        SimConfig(**{name: value})
+    assert str(built.value) == str(from_ini.value)
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(SimConfig(), **{name: value})
+    assert str(replaced.value) == str(from_ini.value)
 
 
 # the float fields of SimConfig, scalar or tuple
@@ -165,10 +184,10 @@ FLOAT_FIELDS = [
 
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
 def test_validate_rejects_nan_in_every_float_field(name):
-    value = getattr(default_config(), name)
+    value = getattr(SimConfig(), name)
     nan = (float("nan"),) * len(value) if isinstance(value, tuple) else float("nan")
     with pytest.raises(ConfigError, match=f"{name} must not be NaN"):
-        validate(dataclasses.replace(default_config(), **{name: nan}))
+        SimConfig(**{name: nan})
 
 
 def test_parse_config_rejects_nan_but_keeps_infinite_thresholds():
@@ -179,25 +198,24 @@ def test_parse_config_rejects_nan_but_keeps_infinite_thresholds():
 
 @pytest.mark.parametrize("name", [f for f in FLOAT_FIELDS if f != "thresholds"])
 def test_validate_rejects_inf_in_every_float_field_but_thresholds(name):
-    value = getattr(default_config(), name)
+    value = getattr(SimConfig(), name)
     inf = (float("inf"),) * len(value) if isinstance(value, tuple) else float("inf")
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
-        validate(dataclasses.replace(default_config(), **{name: inf}))
+        SimConfig(**{name: inf})
 
 
 def test_validate_bounds_mode_count_by_the_grid_modes():
     # a 16^2 grid has 2 * 16 * 16 = 512 velocity modes
-    cfg = dataclasses.replace(default_config(), cells=(16, 16), mode_count=512)
-    validate(cfg)
+    cfg = SimConfig(cells=(16, 16), mode_count=512)
     with pytest.raises(ConfigError, match="mode_count must be at most 512 on this grid, got 513"):
-        validate(dataclasses.replace(cfg, mode_count=513))
+        dataclasses.replace(cfg, mode_count=513)
 
 
 def test_validate_bounds_the_seed_by_64_bits():
-    validate(dataclasses.replace(default_config(), seed=2**64 - 1))
+    SimConfig(seed=2**64 - 1)
     for seed in (-1, 2**64):
         with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
-            validate(dataclasses.replace(default_config(), seed=seed))
+            SimConfig(seed=seed)
 
 
 @pytest.mark.parametrize("args,text", [
@@ -224,7 +242,6 @@ def _valid_configs(draw):
     dt = 2.0 ** -draw(st.integers(0, 14))
     cells = tuple(2 ** e for e in draw(st.lists(st.integers(2, 6), min_size=n_dim,
                                                 max_size=n_dim)))
-    save_snapshots = draw(st.booleans())  # which needs a snapshot cadence
     return SimConfig(
         n_dim=n_dim,
         cells=cells,
@@ -256,8 +273,7 @@ def _valid_configs(draw):
         director_diffusion=draw(st.booleans()),
         enable_penalty=draw(st.booleans()),
         enable_transport=draw(st.booleans()),
-        save_snapshots=save_snapshots,
-        snapshot_every=draw(st.integers(1 if save_snapshots else 0, 1000)),
+        snapshot_every=draw(st.integers(0, 1000)),
         seed=draw(st.integers(0, 2**63)),
         trajectories=draw(st.integers(1, 4096)),
     )
@@ -268,7 +284,6 @@ def _valid_configs(draw):
 def test_config_text_round_trip_property(cfg):
     """Every valid config, with dt = 2^-k and whole step counts, survives
     to_text/parse_config unchanged, and its horizon is n_steps whole steps."""
-    validate(cfg)
     assert parse_config(to_text(cfg)) == cfg
     assert cfg.n_steps * cfg.dt == cfg.horizon
 
@@ -279,7 +294,7 @@ def test_readme_config_examples_parse():
     blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
     assert blocks
     for block in blocks:
-        assert parse_config(block) == default_config()
+        assert parse_config(block) == SimConfig()
 
 
 def test_parse_config_rejects_broken_syntax():
@@ -349,11 +364,12 @@ def test_run_seed_override_changes_the_noise(tmp_path):
 
 @pytest.mark.parametrize("verb, output", [
     ("run", "save_snapshots = true\n"),
-    ("ensemble", "save_snapshots = true\nsnapshot_every = 2\n"),
+    ("ensemble", "snapshot_every = 2\n"),
 ])
 def test_snapshot_settings_that_would_write_nothing_are_rejected(tmp_path, capsys, verb,
                                                                  output):
-    # run with no cadence, and ensemble at any cadence, would write no .slcf file
+    # save_snapshots is an unknown key, and ensemble at any snapshot cadence
+    # would write no .slcf file
     cfg_path = _write_config(tmp_path, SMALL + "\n[output]\n" + output)
     out = tmp_path / "out"
     assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
@@ -363,7 +379,7 @@ def test_snapshot_settings_that_would_write_nothing_are_rejected(tmp_path, capsy
 
 
 def test_run_writes_readable_snapshots_at_cadence(tmp_path):
-    text = SMALL + "\n[output]\nsave_snapshots = true\nsnapshot_every = 2\n"
+    text = SMALL + "\n[output]\nsnapshot_every = 2\n"
     cfg_path = _write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -453,9 +469,12 @@ def test_worker_count_is_capped_by_trajectories_and_cpus(monkeypatch):
 def test_ensemble_rejects_bad_worker_env(tmp_path, monkeypatch, capsys, raw):
     cfg_path = _write_config(tmp_path)
     monkeypatch.setenv("SLCSIM_WORKERS", raw)
-    code = main(["ensemble", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["ensemble", "--config", str(cfg_path), "--out", str(out)])
     assert code == 2
-    assert "SLCSIM_WORKERS" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: SLCSIM_WORKERS must be")
+    assert not out.exists()                 # rejected before the manifest
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +552,7 @@ def test_describe_config_output_parses_back(capsys):
     assert main(["describe-config", "--seed", "7"]) == 0
     text = capsys.readouterr().out
     cfg = parse_config(text)
-    assert cfg == dataclasses.replace(default_config(), seed=7)
+    assert cfg == SimConfig(seed=7)
 
 
 # ---------------------------------------------------------------------------

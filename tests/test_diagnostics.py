@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from slcsim import diagnostics
-from slcsim.config import SimConfig, validate
+from slcsim.config import SimConfig
 from slcsim.errors import ConfigError, DomainError
 from slcsim.fields import (
     State,
@@ -98,7 +98,7 @@ def test_energy_q_frozen_values_and_domain():
                          director_amplitude=0.5, horizon=1e-3, q=4.0)
     assert run_trajectory(quartic).series["energy_q"][0] == pytest.approx(0.0625, rel=1e-13)
     with pytest.raises(ConfigError):
-        validate(_small_cfg(q=1.5))
+        _small_cfg(q=1.5)
 
 
 def test_energy_q_matches_spectral_summary_composition():
@@ -169,7 +169,7 @@ def test_phi_rate_singular_dimension_and_negative_dt():
         phi_rate(1.0, 1.0, 4)
     # the weight integral only ever sees the configured dt, which must be positive
     with pytest.raises(ConfigError):
-        validate(_small_cfg(dt=-1e-3))
+        _small_cfg(dt=-1e-3)
 
 
 def test_phi_increment_is_rate_times_dt():

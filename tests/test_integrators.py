@@ -737,12 +737,12 @@ def test_picard_numerical_failure_keeps_the_non_finite_node(monkeypatch):
 
 def test_trajectory_snapshot_sink_follows_configured_cadence():
     seen: list[int] = []
-    cfg = _cfg(horizon=12e-3, save_snapshots=True, snapshot_every=5)
+    cfg = _cfg(horizon=12e-3, snapshot_every=5)
     run_trajectory(cfg, snapshot_sink=lambda j, s: seen.append(j))
     assert seen == [0, 5, 10]
 
     seen.clear()
-    cfg_off = _cfg(horizon=12e-3, save_snapshots=False, snapshot_every=5)
+    cfg_off = _cfg(horizon=12e-3)           # snapshot_every = 0 is off
     run_trajectory(cfg_off, snapshot_sink=lambda j, s: seen.append(j))
     assert seen == []
 
