@@ -126,7 +126,7 @@ def _traj_summary(rec: TrajectoryRecord) -> dict:
         "trajectory": rec.trajectory,
         "status": rec.status,
         "steps_completed": rec.steps_completed,
-        "tau_hits": {_fmt(k): _fmt(t) for k, t in sorted(rec.stopping.hits.items())},
+        "tau_hits": {_fmt(k): _fmt(t) for k, t in sorted(rec.tau_hits.items())},
         "windows": [
             {
                 "start_time": _fmt(w.start_time),
@@ -219,11 +219,11 @@ def _cmd_ensemble(args, manifest: _Manifest) -> int:
 
 def _cmd_probes(args, manifest: _Manifest) -> int:
     cfg = _load_config(args)
+    if cfg.snapshot_every:
+        raise ConfigError("probes writes no snapshots; snapshot_every is for run")
     out = Path(args.out)
     manifest.write(out, "probes", cfg, ["probes_report.json"])
-    results = probe_suite(
-        seed=cfg.seed, include_contraction=not args.skip_contraction, cfg=cfg
-    )
+    results = probe_suite(seed=cfg.seed, cfg=None if args.skip_contraction else cfg)
     all_passed = all(r.passed for r in results)
     payload = {
         "all_passed": all_passed,

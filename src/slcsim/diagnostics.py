@@ -362,7 +362,8 @@ def contraction_slopes(cfg, windows) -> tuple[float, list[float]]:
         lengths.append(n_win * dt)
         path = sample_path(cfg.seed, 0, dt, n_win, cfg.mode_count)
         _, stats = picard_solve(cache, cfg, y0, path, 0, n_win)
-        usable = [r for r, dist in zip(stats.ratios, stats.distances[1:]) if dist > 1e-13]
+        ds = stats.distances
+        usable = [b / a for a, b in zip(ds, ds[1:]) if a > 0.0 and b > 1e-13]
         if not usable:
             raise DomainError("window converged too fast to measure a contraction ratio")
         ratios.append(float(np.exp(np.mean(np.log(usable)))))
@@ -388,8 +389,9 @@ def _bounded(name: str, value: float, low: float, high: float, detail: str = "")
     return ProbeResult(name, float(value), low, high, bool(low <= value <= high), detail)
 
 
-def probe_suite(seed: int = 0, include_contraction: bool = False, cfg=None) -> list[ProbeResult]:
-    """The mechanical inequality checks, sized for seconds not minutes."""
+def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:
+    """The mechanical inequality checks, sized for seconds not minutes; the
+    Picard contraction probe runs on ``cfg`` when one is given."""
     results: list[ProbeResult] = []
     g32 = build_grid(2, (32, 32), (1.0, 1.0))
 
@@ -487,9 +489,7 @@ def probe_suite(seed: int = 0, include_contraction: bool = False, cfg=None) -> l
                  detail=f"estimates={estimates}")
     )
 
-    if include_contraction:
-        if cfg is None:
-            raise ConfigError("contraction probe needs a config")
+    if cfg is not None:
         windows = (0.015625, 0.03125, 0.0625)
         slope, ratios = contraction_slopes(cfg, windows)
         results.append(

@@ -48,7 +48,6 @@ from .operators import (
 )
 
 __all__ = [
-    "StoppingRecord",
     "TrajectoryRecord",
     "WindowStats",
     "theta_cutoff",
@@ -78,27 +77,17 @@ def theta_cutoff(x: float, radius: float) -> float:
     return float(np.clip(2.0 - x / radius, 0.0, 1.0))
 
 
-@dataclass
-class StoppingRecord:
-    """First crossing times of the blow-up functional over each threshold."""
+def detect_tau(hits: dict[float, float], thresholds, t: float, blowup: float) -> bool:
+    """Record in ``hits`` the first time t at which blowup = |A^{1/2} v| + |Delta d|
+    exceeds each of the ascending ``thresholds``.
 
-    thresholds: tuple[float, ...]
-    hits: dict[float, float] = field(default_factory=dict)
-    halted: bool = False
-
-
-def detect_tau(state: State, record: StoppingRecord, blowup: float) -> StoppingRecord:
-    """Record threshold crossings of blowup = |A^{1/2} v| + |Delta d| at state.t.
-
-    Smaller thresholds only get logged; crossing the largest one halts the
-    trajectory (record.halted) so the caller can stop integrating.
+    Smaller thresholds only get logged; True once the largest one has been
+    crossed, which halts the trajectory.
     """
-    for k in record.thresholds:
-        if blowup > k and k not in record.hits:
-            record.hits[k] = state.t
-    if record.thresholds and record.thresholds[-1] in record.hits:
-        record.halted = True
-    return record
+    for k in thresholds:
+        if blowup > k and k not in hits:
+            hits[k] = t
+    return thresholds[-1] in hits
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +173,19 @@ def em_step(
 @dataclass(frozen=True)
 class WindowStats:
     start_time: float
-    iterations: int
     converged: bool
-    distances: tuple[float, ...]
-    ratios: tuple[float, ...]
+    distances: tuple[float, ...]  # one per sweep
     min_theta: float = 1.0  # 1.0 means the cutoff never engaged
+
+    @property
+    def iterations(self) -> int:
+        return len(self.distances)
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        """Each sweep's distance over the one before, where that is positive."""
+        ds = self.distances
+        return tuple(ds[m] / ds[m - 1] for m in range(1, len(ds)) if ds[m - 1] > 0.0)
 
 
 def _xt_norms(norms, dt: float) -> np.ndarray:
@@ -221,14 +218,15 @@ def picard_solve(
     Returns the converged node trajectory (n_window_steps + 1 states) and the
     iteration statistics.  Iterates are compared in the discrete path norm
     sup_j |.|_V^2 + sum_j |.|_E^2 dt; a window converges only on a finite
-    distance within ``tolerance`` of a finite path norm.
+    distance within ``tolerance`` of a finite path norm.  Each sweep reads
+    the path norm of the iterate it starts from off its nodes' summaries.
 
     A sweep is causal: node j+1 reads nodes <= j of the current and the
     previous iterate, so after sweep m nodes 0..m are final and every later
     sweep would reproduce them bit for bit.  Each sweep therefore starts
     after the finite final prefix, whose differences are exactly zero and
-    whose norms it reuses.  The iterate is overwritten node by node, so one
-    iterate stays alive, and every node keeps its ``summary`` for the caller.
+    whose summaries it reuses.  The iterate is overwritten node by node, so
+    one iterate stays alive, and every node keeps its ``summary``.
     """
     grid = cache.grid
     dt = path.dt
@@ -244,7 +242,6 @@ def picard_solve(
         if cfg.director_diffusion:
             d = semigroup_director(grid, d, dt)
         nodes.append(State(grid, v, d, y0.t + (j + 1) * dt))
-    norms = [_ve_norms(s) for s in nodes]
 
     # nodes[:fixed] are final and finite: no sweep recomputes them, and their
     # differences, exactly zero, stay out of the distance.  A non-finite node,
@@ -253,11 +250,9 @@ def picard_solve(
     fixed = 1 if _is_finite(y0) else 0
     distances: list[float] = []
     converged = False
-    iterations = 0
     min_theta = 1.0
     for _ in range(cfg.max_iterations):
-        iterations += 1
-        xt_norms = _xt_norms(norms, dt)
+        xt_norms = _xt_norms([_ve_norms(s) for s in nodes], dt)
         diffs = [] if fixed else [_ve_norms(State(grid, y0.v - y0.v, y0.d - y0.d, y0.t))]
         start = max(fixed - 1, 0)
         base = prev = nodes[start]
@@ -269,7 +264,6 @@ def picard_solve(
             prev = nodes[j + 1]  # read here and by the next step, then dropped
             diffs.append(_ve_norms(State(grid, node.v - prev.v, node.d - prev.d, node.t)))
             nodes[j + 1] = base = node
-            norms[j + 1] = _ve_norms(node)
         if 0 < fixed < n and _is_finite(nodes[fixed]):
             fixed += 1
 
@@ -281,17 +275,10 @@ def picard_solve(
             converged = True
             break
 
-    ratios = tuple(
-        distances[m] / distances[m - 1]
-        for m in range(1, len(distances))
-        if distances[m - 1] > 0.0
-    )
     stats = WindowStats(
         start_time=y0.t,
-        iterations=iterations,
         converged=converged,
         distances=tuple(distances),
-        ratios=ratios,
         min_theta=min_theta,
     )
     return nodes, stats
@@ -307,11 +294,15 @@ class TrajectoryRecord:
     status: str
     times: np.ndarray
     series: dict[str, np.ndarray]
-    stopping: StoppingRecord
+    tau_hits: dict[float, float]  # threshold -> first crossing time
     steps_completed: int
     terminal: State
     windows: list[WindowStats] = field(default_factory=list)
-    non_finite: tuple[str, ...] = ()  # terminal-state fields that are not finite
+
+    @property
+    def non_finite(self) -> tuple[str, ...]:
+        """The terminal-state fields that are not finite."""
+        return tuple(k for k in ("v", "d") if not np.all(np.isfinite(getattr(self.terminal, k))))
 
 
 _SERIES_KEYS = (
@@ -368,7 +359,7 @@ class _NodeLoop:
         self.trajectory = trajectory
         self.sink = snapshot_sink if cfg.snapshot_every else None
         self.state = initial_state(cfg, cache.grid)
-        self.stopping = StoppingRecord(thresholds=tuple(cfg.thresholds))
+        self.tau_hits: dict[float, float] = {}
         self.status = "completed"
         self.steps = 0
         self.phi_integral = 0.0
@@ -380,7 +371,7 @@ class _NodeLoop:
         if not _is_finite(self.state):
             self.status = "numerical_failure"
             return
-        detect_tau(self.state, self.stopping, blowup=summ["blowup"])
+        detect_tau(self.tau_hits, cfg.thresholds, self.state.t, summ["blowup"])
         self._snap(0, self.state)
         self._check_cfl(self.state)
 
@@ -400,12 +391,12 @@ class _NodeLoop:
             return False
         summ = node.summary
         self.phi_integral += phi_rate(summ["l2_v"], summ["a_half_v"], node.grid.n_dim) * self.dt
-        detect_tau(node, self.stopping, blowup=summ["blowup"])
+        halted = detect_tau(self.tau_hits, self.cfg.thresholds, node.t, summ["blowup"])
         j = self.steps
-        if j % self.cfg.record_every == 0 or j == self.n_steps or self.stopping.halted:
+        if j % self.cfg.record_every == 0 or j == self.n_steps or halted:
             self._record(node, summ)
         self._snap(j, node)
-        if self.stopping.halted:
+        if halted:
             self.status = "stopped_at_tau"
             return False
         if j < self.n_steps:
@@ -480,11 +471,10 @@ def run_trajectory(
         status=loop.status,
         times=np.array(loop.times),
         series=series,
-        stopping=loop.stopping,
+        tau_hits=loop.tau_hits,
         steps_completed=loop.steps,
         terminal=loop.state,
         windows=window_stats,
-        non_finite=tuple(k for k in ("v", "d") if not np.all(np.isfinite(getattr(loop.state, k)))),
     )
 
 
@@ -495,9 +485,12 @@ def _run_one(cfg: SimConfig, trajectory: int) -> TrajectoryRecord:
 
 def run_ensemble(cfg: SimConfig, workers: int) -> list[TrajectoryRecord]:
     """Trajectories 0 .. cfg.trajectories - 1 in order, run by at most
-    min(workers, cfg.trajectories, CPU count) processes; one runs them here."""
+    min(workers, cfg.trajectories, usable CPUs) processes; one runs them here.
+    The usable CPUs are the process's affinity mask where the platform has
+    one, else the machine's CPU count."""
     n = cfg.trajectories
-    workers = min(workers, n, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, n, cpus or 1)
     if workers == 1:
         return [_run_one(cfg, i) for i in range(n)]
     # only a pooled ensemble pays for importing the pool

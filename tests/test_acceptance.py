@@ -205,7 +205,7 @@ def test_criterion_7_nonexplosion_ensemble():
         cfg = SimConfig(seed=seed, record_every=5, trajectories=64)
         records = run_ensemble(cfg, os.cpu_count() or 1)
         assert all(r.status == "completed" for r in records)
-        assert all(not r.stopping.hits for r in records)      # tau_1000 never hit
+        assert all(not r.tau_hits for r in records)      # tau_1000 never hit
         fits.append(ensemble_energy_bound(records))
     c1, c2 = fits[0].c_growth, fits[1].c_growth
     assert np.isfinite(c1) and np.isfinite(c2)

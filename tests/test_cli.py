@@ -365,11 +365,12 @@ def test_run_seed_override_changes_the_noise(tmp_path):
 @pytest.mark.parametrize("verb, output", [
     ("run", "save_snapshots = true\n"),
     ("ensemble", "snapshot_every = 2\n"),
+    ("probes", "snapshot_every = 2\n"),
 ])
 def test_snapshot_settings_that_would_write_nothing_are_rejected(tmp_path, capsys, verb,
                                                                  output):
-    # save_snapshots is an unknown key, and ensemble at any snapshot cadence
-    # would write no .slcf file
+    # save_snapshots is an unknown key, and ensemble or probes at any snapshot
+    # cadence would write no .slcf file
     cfg_path = _write_config(tmp_path, SMALL + "\n[output]\n" + output)
     out = tmp_path / "out"
     assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
@@ -457,11 +458,18 @@ def test_worker_count_is_capped_by_trajectories_and_cpus(monkeypatch):
         assert records == list(range(trajectories))
         return sizes[0] if sizes else 1  # no pool: the trajectories ran in this process
 
-    monkeypatch.setattr(slcsim.integrators.os, "cpu_count", lambda: 3)
+    # the affinity mask, where the platform has one, counts the usable CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert processes(64, 8) == 3
     assert processes(64, 2) == 2
     assert processes(1, 8) == 1
-    monkeypatch.setattr(slcsim.integrators.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert processes(4, 8) == 1             # pinned to one of the machine's 8 CPUs
+    # elsewhere the machine's CPU count does
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert processes(64, 8) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert processes(4, 8) == 1
 
 
