@@ -7,7 +7,8 @@ with the ensemble fit, binary snapshots only when asked.  Identical (config, see
 identical bytes, so nothing here records wall-clock time or hostnames.
 
 Exit codes: 0 success, 1 a Picard window did not converge, 2 configuration,
-I/O or domain error, 3 a trajectory hit a non-finite field, 4 a probe failed.
+I/O, domain or memory error, 3 a trajectory hit a non-finite field, 4 a probe
+failed.
 """
 
 from __future__ import annotations
@@ -325,6 +326,8 @@ def main(argv=None) -> int:
         return _abort(manifest, "i/o error", exc)
     except DomainError as exc:
         return _abort(manifest, "domain error", exc)
+    except MemoryError as exc:
+        return _abort(manifest, "memory error", exc)
 
 
 if __name__ == "__main__":

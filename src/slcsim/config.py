@@ -208,18 +208,15 @@ def _step_count(span: float, dt: float, name: str) -> int:
 def validate(cfg: SimConfig) -> None:
     """Check every constraint; raise one ConfigError aggregating all violations."""
     errors: list[str] = []
-    if cfg.n_dim not in (2, 3):
-        errors.append(f"n_dim must be 2 or 3, got {cfg.n_dim}")
+    try:
+        cfg.grid()
+    except ValueError as exc:
+        errors.append(str(exc))
     else:
-        try:
-            cfg.grid()
-        except ValueError as exc:
-            errors.append(str(exc))
-        else:
-            modes = cfg.n_dim * math.prod(cfg.cells)
-            if cfg.mode_count > modes:
-                errors.append(f"mode_count must be at most {modes} on this grid, "
-                              f"got {cfg.mode_count}")
+        modes = cfg.n_dim * math.prod(cfg.cells)
+        if cfg.mode_count > modes:
+            errors.append(f"mode_count must be at most {modes} on this grid, "
+                          f"got {cfg.mode_count}")
     # NaN passes every `x < bound` check below and inf every `x > 0.0` one;
     # only thresholds may be inf, the "never halt" setting
     for f in fields(cfg):

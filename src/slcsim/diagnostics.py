@@ -381,12 +381,15 @@ class ProbeResult:
     value: float
     low: float
     high: float
-    passed: bool
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.low <= self.value <= self.high
 
 
 def _bounded(name: str, value: float, low: float, high: float, detail: str = "") -> ProbeResult:
-    return ProbeResult(name, float(value), low, high, bool(low <= value <= high), detail)
+    return ProbeResult(name, float(value), low, high, detail)
 
 
 def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:

@@ -15,11 +15,11 @@ node differences of two iterates is also the sweep distance.  Sweep m fixes
 node m for good, so each sweep starts after the nodes earlier sweeps fixed,
 and it overwrites the iterate node by node: one iterate is kept alive.
 
-``run_trajectory`` feeds the nodes of either scheme, one at a time, into a
-single per-node path (``_NodeLoop.advance``): the finite check, the phi
-integral, the stopping thresholds, the series rows, the snapshots and the
-advective CFL warning.  EM hands it each step; Picard hands it the nodes of
-each solved window in order, and both stop on the same rule.
+Each scheme is a stream of nodes, one EM step per Brownian increment or the
+nodes of each solved Picard window in order.  ``run_trajectory`` takes either
+through one loop that owns the per-node rules: the finite check, the phi
+integral, the stopping thresholds, the series rows, the snapshots, the
+advective CFL warning and the trajectory's status.
 """
 
 from __future__ import annotations
@@ -325,9 +325,9 @@ _SERIES_KEYS = (
 )
 
 
-def _record_row(state: State, summ: dict, cfg: SimConfig, cache: OperatorCache,
-                phi_weight: float) -> dict:
+def _record_row(state: State, cfg: SimConfig, cache: OperatorCache, phi_weight: float) -> dict:
     q = cfg.q
+    summ = state.summary
     row = dict(summ)
     row["energy_q"] = summ["l2_v"] ** q + summ["l2_d"] ** q + summ["grad_d"] ** q
     row["max_gap"] = max_principle_gap(state.grid, state.d)
@@ -341,86 +341,36 @@ def _record_row(state: State, summ: dict, cfg: SimConfig, cache: OperatorCache,
     return row
 
 
-class _NodeLoop:
-    """Per-node bookkeeping of one trajectory, shared by both schemes.
+def _warn_on_cfl(state: State, dt: float, trajectory: int) -> bool:
+    """Warn, and return True, if a step of ``dt`` from ``state`` exceeds the
+    advective CFL number 1."""
+    if dt * float(np.max(np.abs(state.v))) / min(state.grid.spacings) <= 1.0:
+        return False
+    log.warning("advective CFL exceeded at t=%.6g (trajectory %d)", state.t, trajectory)
+    return True
 
-    It starts from the initial state (recorded as the first row) and takes
-    the trajectory's nodes in order through ``advance``.  A non-finite
-    initial state ends the trajectory before its first step, as
-    numerical_failure after 0 steps.
-    """
 
-    def __init__(self, cfg: SimConfig, cache: OperatorCache, path: BrownianPath,
-                 trajectory: int, snapshot_sink) -> None:
-        self.cfg = cfg
-        self.cache = cache
-        self.dt = path.dt
-        self.n_steps = path.n_steps
-        self.trajectory = trajectory
-        self.sink = snapshot_sink if cfg.snapshot_every else None
-        self.state = initial_state(cfg, cache.grid)
-        self.tau_hits: dict[float, float] = {}
-        self.status = "completed"
-        self.steps = 0
-        self.phi_integral = 0.0
-        self.cfl_warned = False
-        self.times: list[float] = []
-        self.rows: list[dict] = []
-        summ = self.state.summary
-        self._record(self.state, summ)
-        if not _is_finite(self.state):
-            self.status = "numerical_failure"
+def _em_nodes(cfg: SimConfig, cache: OperatorCache, path: BrownianPath, y: State):
+    """Euler-Maruyama's nodes after ``y``: one em_step per Brownian increment."""
+    for j in range(path.n_steps):
+        y = em_step(y, path.dt, path.w1(j), path.w2(j), cache, cfg)
+        yield y
+
+
+def _picard_nodes(cfg: SimConfig, cache: OperatorCache, path: BrownianPath, y: State,
+                  n_win: int, windows: list[WindowStats]):
+    """Picard's nodes after ``y``, solved a window of ``n_win`` steps (the last
+    may be shorter) at a time from the last node of the window before.  Each
+    window's stats join ``windows`` before its nodes are yielded; the stream
+    ends after a window that did not converge."""
+    for start in range(0, path.n_steps, n_win):
+        nodes, stats = picard_solve(cache, cfg, y, path, start, min(n_win, path.n_steps - start))
+        windows.append(stats)
+        yield from nodes[1:]
+        y = nodes[-1]
+        del nodes  # not held while the next window is solved
+        if not stats.converged:
             return
-        detect_tau(self.tau_hits, cfg.thresholds, self.state.t, summ["blowup"])
-        self._snap(0, self.state)
-        self._check_cfl(self.state)
-
-    def advance(self, node: State) -> bool:
-        """Accept the node after the next step; False once the trajectory has ended.
-
-        The node always counts as a step and becomes the terminal state, even
-        when a field is non-finite (status numerical_failure).  Crossing the
-        last threshold ends the trajectory as stopped_at_tau, with its row
-        recorded off-cadence.  The advective CFL number is checked on every
-        node that another step starts from.
-        """
-        self.steps += 1
-        self.state = node
-        if not _is_finite(node):
-            self.status = "numerical_failure"
-            return False
-        summ = node.summary
-        self.phi_integral += phi_rate(summ["l2_v"], summ["a_half_v"], node.grid.n_dim) * self.dt
-        halted = detect_tau(self.tau_hits, self.cfg.thresholds, node.t, summ["blowup"])
-        j = self.steps
-        if j % self.cfg.record_every == 0 or j == self.n_steps or halted:
-            self._record(node, summ)
-        self._snap(j, node)
-        if halted:
-            self.status = "stopped_at_tau"
-            return False
-        if j < self.n_steps:
-            self._check_cfl(node)
-        return True
-
-    def _record(self, state: State, summ: dict) -> None:
-        self.times.append(state.t)
-        self.rows.append(
-            _record_row(state, summ, self.cfg, self.cache, float(np.exp(-self.phi_integral)))
-        )
-
-    def _snap(self, j: int, state: State) -> None:
-        if self.sink is not None and j % self.cfg.snapshot_every == 0:
-            self.sink(j, state)
-
-    def _check_cfl(self, state: State) -> None:
-        if self.cfl_warned:
-            return
-        if self.dt * float(np.max(np.abs(state.v))) / min(state.grid.spacings) > 1.0:
-            log.warning(
-                "advective CFL exceeded at t=%.6g (trajectory %d)", state.t, self.trajectory
-            )
-            self.cfl_warned = True
 
 
 def run_trajectory(
@@ -436,6 +386,16 @@ def run_trajectory(
     snapshot_sink, when given, is called as sink(step_index, state) every
     ``cfg.snapshot_every`` steps (and for the initial state); a cadence of
     0 calls it never.
+
+    The initial state is the first row.  If it is not finite the trajectory
+    ends as numerical_failure after 0 steps; else every node of the scheme
+    counts as a step and becomes the terminal state.  A non-finite node ends
+    it as numerical_failure, and crossing the last threshold as
+    stopped_at_tau with the node's row recorded off-cadence (a crossing at
+    t = 0 still takes one step).  The advective CFL number is checked on
+    every node that another step starts from.  A stream that runs out ends
+    it as completed, or as iteration_failed after a window that did not
+    converge.
     """
     grid = cfg.grid()
     cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)
@@ -445,36 +405,55 @@ def run_trajectory(
         raise ValueError("path mode count does not match config")
     dt = path.dt
     n_steps = path.n_steps
-
-    loop = _NodeLoop(cfg, cache, path, trajectory, snapshot_sink)
-    window_stats: list[WindowStats] = []
+    windows: list[WindowStats] = []
+    state = initial_state(cfg, grid)
     if cfg.scheme == "picard":
-        n_win = _step_count(cfg.window, dt, "picard window")
-        while loop.steps < n_steps and loop.status == "completed":
-            take = min(n_win, n_steps - loop.steps)
-            nodes, stats = picard_solve(cache, cfg, loop.state, path, loop.steps, take)
-            window_stats.append(stats)
-            for node in nodes[1:]:
-                if not loop.advance(node):
-                    break
-            del nodes  # not held while the next window is solved
-            if not stats.converged and loop.status == "completed":
-                loop.status = "iteration_failed"
+        nodes = _picard_nodes(cfg, cache, path, state, _step_count(cfg.window, dt, "picard window"),
+                              windows)
     else:
-        while loop.steps < n_steps and loop.status == "completed":
-            j = loop.steps
-            loop.advance(em_step(loop.state, dt, path.w1(j), path.w2(j), cache, cfg))
+        nodes = _em_nodes(cfg, cache, path, state)
+    sink = snapshot_sink if cfg.snapshot_every else None
+    times = [state.t]
+    rows = [_record_row(state, cfg, cache, 1.0)]
+    tau_hits: dict[float, float] = {}
+    steps = 0
+    status = "numerical_failure"  # kept by a non-finite initial state or node
+    if _is_finite(state):
+        detect_tau(tau_hits, cfg.thresholds, state.t, state.summary["blowup"])
+        if sink is not None:
+            sink(0, state)
+        phi_integral = 0.0
+        cfl_warned = _warn_on_cfl(state, dt, trajectory)
+        for node in nodes:
+            steps += 1
+            state = node
+            if not _is_finite(node):
+                break
+            summ = node.summary
+            phi_integral += phi_rate(summ["l2_v"], summ["a_half_v"], grid.n_dim) * dt
+            halted = detect_tau(tau_hits, cfg.thresholds, node.t, summ["blowup"])
+            if steps % cfg.record_every == 0 or steps == n_steps or halted:
+                times.append(node.t)
+                rows.append(_record_row(node, cfg, cache, float(np.exp(-phi_integral))))
+            if sink is not None and steps % cfg.snapshot_every == 0:
+                sink(steps, node)
+            if halted:
+                status = "stopped_at_tau"
+                break
+            if steps < n_steps and not cfl_warned:
+                cfl_warned = _warn_on_cfl(node, dt, trajectory)
+        else:
+            status = "iteration_failed" if windows and not windows[-1].converged else "completed"
 
-    series = {k: np.array([r[k] for r in loop.rows]) for k in _SERIES_KEYS}
     return TrajectoryRecord(
         trajectory=trajectory,
-        status=loop.status,
-        times=np.array(loop.times),
-        series=series,
-        tau_hits=loop.tau_hits,
-        steps_completed=loop.steps,
-        terminal=loop.state,
-        windows=window_stats,
+        status=status,
+        times=np.array(times),
+        series={k: np.array([r[k] for r in rows]) for k in _SERIES_KEYS},
+        tau_hits=tau_hits,
+        steps_completed=steps,
+        terminal=state,
+        windows=windows,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -504,7 +505,7 @@ def test_probes_verb_reports_all_passed(tmp_path, capsys):
 
 def test_probes_verb_exits_four_when_a_probe_fails(tmp_path, monkeypatch, capsys):
     def failing(**kwargs):
-        return [ProbeResult("b1_skew_symmetry", 2.0, 0.0, 1.0, False)]
+        return [ProbeResult("b1_skew_symmetry", 2.0, 0.0, 1.0)]
 
     monkeypatch.setattr(slcsim.cli, "probe_suite", failing)
     out = tmp_path / "out"
@@ -674,6 +675,33 @@ def test_error_message_with_a_unicode_line_separator_is_one_line(tmp_path):
     assert line.startswith("configuration error: ")
 
 
+# a path of 10^15 steps asks for 121 PiB, beyond the address space, so the
+# allocation fails at once and touches no memory
+HUGE = """
+[grid]
+cells = 16 16
+
+[time]
+horizon = 1e12
+"""
+
+
+@pytest.mark.parametrize("verb, workers", [("run", "1"), ("ensemble", "2")])
+def test_allocation_failure_exits_two_with_one_line_and_no_traceback(tmp_path, monkeypatch,
+                                                                      verb, workers):
+    # a pooled ensemble's workers hand their MemoryError back through the pool
+    monkeypatch.setenv("SLCSIM_WORKERS", workers)
+    cfg_path = _write_config(tmp_path, HUGE)
+    out = tmp_path / "o"
+    proc = _python("-m", "slcsim.cli", verb, "--config", str(cfg_path), "--trajectories", "2",
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("memory error: Unable to allocate 121. PiB")
+    assert _status(out) == f"aborted: {line}"
+
+
 # the issue's at-rest repro: no forcing and no motion, so the contraction
 # probe runs out of ratios after the rest of the suite has run
 REST = """
@@ -712,7 +740,7 @@ def test_manifest_status_records_how_the_verb_ended(tmp_path, monkeypatch, capsy
 
     def failing(**kwargs):
         seen.append(_status(tmp_path / "failed"))
-        return [ProbeResult("b1_skew_symmetry", 2.0, 0.0, 1.0, False)]
+        return [ProbeResult("b1_skew_symmetry", 2.0, 0.0, 1.0)]
 
     monkeypatch.setattr(slcsim.cli, "probe_suite", failing)
     assert main(["probes", "--out", str(tmp_path / "failed")]) == 4
@@ -752,3 +780,34 @@ def test_unknown_verb_is_an_argparse_error():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])
     assert exc.value.code == 2
+
+
+def test_benchmark_tracer_counts_the_stepping_functions_and_uninstalls(tmp_path, monkeypatch):
+    """The benchmark's tracer (perfbench/tracer.py, loaded as it is) wraps
+    slcsim functions by name; a rename of a traced function fails here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+
+    cfg_path = _write_config(tmp_path, SMALL.replace("horizon = 0.005", "horizon = 0.002")
+                             + "\n[picard]\nwindow = 0.002\n")  # 2 steps, one window
+    names = ("em_step", "picard_solve", "run_trajectory")
+    originals = {n: getattr(slcsim.integrators, n) for n in names}
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        for scheme in ("em", "picard"):
+            assert slcsim.cli.main(["run", "--config", str(cfg_path), "--scheme", scheme,
+                                    "--out", str(tmp_path / scheme)]) == 0
+    finally:
+        tracer.uninstall()
+    calls = {name: s.calls for name, s in tracer.stats.items()}
+    assert calls["integrators.em_step"] == 2
+    assert calls["integrators.picard_solve"] == 1 and tracer.picard_sweeps >= 1
+    assert calls["integrators.run_trajectory"] == 2
+    assert calls["cli.main"] == 2
+    assert {n: getattr(slcsim.integrators, n) for n in names} == originals
+    assert slcsim.cli.run_trajectory is originals["run_trajectory"]
+    assert slcsim.cli.main is main

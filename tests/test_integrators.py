@@ -11,7 +11,8 @@ iterates it holds.  Picard windows are checked for contraction,
 determinism, and cutoff inertness.  EM is checked to commute with a
 director rotation about the magnetic field's axis, with a control rotation
 that does not commute, and with the reflection of either wall pair, with
-controls that drop the velocity or the noise signs.
+controls that drop the velocity or the noise signs, and to converge at
+strong order 1/2 to the closed-form Stratonovich rotation of the director.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import pytest
 
 import slcsim.integrators as integrators
 from slcsim.config import SimConfig
+from slcsim.errors import ConfigError
 from slcsim.fields import State, spectral_summary
 from slcsim.grid import divergence
 from slcsim.integrators import (
@@ -39,7 +41,7 @@ from slcsim.integrators import (
     run_trajectory,
     theta_cutoff,
 )
-from slcsim.noise import sample_path
+from slcsim.noise import refine, sample_path
 from slcsim.operators import (
     OperatorCache,
     assemble_L,
@@ -252,6 +254,42 @@ def test_em_commutes_with_director_rotation_about_the_field_axis():
 
     control = run(State(grid, y0.v, _rotate(y0.d, 2, 0.7), 0.0))
     assert rel(_rotate(end.d, 2, 0.7), control.d) > 1e-3
+
+
+def test_em_converges_at_strong_order_half_to_the_closed_form_rotation():
+    """With the velocity frozen and diffusion, penalty and transport off, the
+    director solves the Stratonovich equation dd = (d x h) o dW_2.  h lies
+    along e_0, so the exact path turns each cell's (d_1, d_2) by
+    h_0(x) W_2(t), and needs no reference solve.  EM on each of 16 paths,
+    refined five times from dt 2^-6 to 2^-11, must converge to it at strong
+    order 1/2 (Kloeden & Platen).  Measured: the RMS relative error falls
+    from 7.8e-3 to 1.5e-3, a fitted slope of 0.48.  With the Ito correction
+    zeroed the slope is 0.008 and the finest error 2.6e-2; doubled, 0.017
+    and 2.3e-2."""
+    cfg = _cfg(dt=2.0**-6, horizon=2.0**-2, mode_count=4, freeze_velocity=True,
+               director_diffusion=False, enable_penalty=False, enable_transport=False,
+               record_every=2**11)  # only the end rows: the oracle reads the terminal state
+    grid = cfg.grid()
+    h0 = _cache(cfg).h_field[0]
+    d0 = initial_state(cfg, grid).d
+    levels, n_paths = 6, 16
+    sq_errors = np.zeros((levels, n_paths))
+    for p in range(n_paths):
+        path = sample_path(cfg.seed, p, cfg.dt, cfg.n_steps, cfg.mode_count)
+        for level in range(levels):
+            angle = h0 * np.sum(path.increments[:, cfg.mode_count])  # h_0 W_2(T)
+            c, s = np.cos(angle), np.sin(angle)
+            exact = np.stack([d0[0], c * d0[1] + s * d0[2], c * d0[2] - s * d0[1]])
+            rec = run_trajectory(cfg, trajectory=p, path=path)
+            assert rec.status == "completed"
+            sq_errors[level, p] = np.sum((rec.terminal.d - exact) ** 2) / np.sum(exact**2)
+            path = refine(path)
+
+    rms = np.sqrt(sq_errors.mean(axis=1))
+    dts = cfg.dt / 2.0 ** np.arange(levels)
+    slope = np.polyfit(np.log(dts), np.log(rms), 1)[0]
+    assert 0.3 <= slope <= 0.8, (slope, rms)
+    assert rms[-1] <= 5e-3, rms
 
 
 def _reflect(state: State, axis: int, negate: bool = True) -> State:
@@ -815,3 +853,11 @@ def test_trajectory_rejects_mismatched_path_mode_count():
     bad = sample_path(cfg.seed, 0, cfg.dt, cfg.n_steps, cfg.mode_count + 1)
     with pytest.raises(ValueError):
         run_trajectory(cfg, path=bad)
+
+
+def test_picard_window_must_be_a_whole_number_of_the_path_steps():
+    # the config's dt divides its window, but this path's 3e-3 steps do not
+    cfg = _cfg(scheme="picard", window=4e-3, horizon=12e-3)
+    path = sample_path(cfg.seed, 0, 3e-3, 4, cfg.mode_count)
+    with pytest.raises(ConfigError, match="picard window/dt must be an integer"):
+        run_trajectory(cfg, path=path)
