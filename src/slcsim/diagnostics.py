@@ -104,9 +104,13 @@ def _phi_exponents(n_dim: int) -> tuple[float, float]:
 
 def phi_rate(v_l2: float, a_half_v: float, n_dim: int) -> float:
     """Instantaneous rate C_phi * |v|^2 * |A^{1/2}v|^{2n/(4-n)}, with C_phi the
-    Young constant at alpha = 1 for the exponents of dimension n."""
+    Young constant at alpha = 1 for the exponents of dimension n; inf where
+    a finite summary overflows, since Python float ** raises there."""
     c_phi = young_constant(1.0, *_phi_exponents(n_dim))
-    return c_phi * v_l2**2 * a_half_v ** (2.0 * n_dim / (4.0 - n_dim))
+    try:
+        return c_phi * v_l2**2 * a_half_v ** (2.0 * n_dim / (4.0 - n_dim))
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +329,10 @@ def ensemble_energy_bound(records) -> EnsembleFit:
     with np.errstate(divide="ignore"):
         slopes = np.log(mean[1:] / e0) / times[1:]
     c_fit = max(0.0, float(np.max(slopes))) if n > 1 else 0.0
-    bound = e0 * np.exp(c_fit * times)
-    violations = int(np.sum(mean > bound * (1.0 + 1e-9)))
+    # t = 0 holds e0 itself, so it is skipped: C t there is inf * 0 = nan when
+    # an overflowed energy makes C infinite
+    bound = e0 * np.exp(c_fit * times[1:])
+    violations = int(np.sum(mean[1:] > bound * (1.0 + 1e-9)))
     return EnsembleFit(
         c_growth=c_fit,
         violation_count=violations,

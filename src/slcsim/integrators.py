@@ -326,10 +326,15 @@ _SERIES_KEYS = (
 
 
 def _record_row(state: State, cfg: SimConfig, cache: OperatorCache, phi_weight: float) -> dict:
+    """The node's series row.  energy_q, a sum of powers of nonnegative norms,
+    is inf where a power overflows: Python float ** raises there."""
     q = cfg.q
     summ = state.summary
     row = dict(summ)
-    row["energy_q"] = summ["l2_v"] ** q + summ["l2_d"] ** q + summ["grad_d"] ** q
+    try:
+        row["energy_q"] = summ["l2_v"] ** q + summ["l2_d"] ** q + summ["grad_d"] ** q
+    except OverflowError:
+        row["energy_q"] = math.inf
     row["max_gap"] = max_principle_gap(state.grid, state.d)
     row["psi"] = psi_functional(state.grid, state.d, cache.eps)
     row["phi_weight"] = phi_weight
@@ -373,6 +378,7 @@ def _picard_nodes(cfg: SimConfig, cache: OperatorCache, path: BrownianPath, y: S
             return
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_trajectory(
     cfg: SimConfig,
     trajectory: int = 0,
@@ -395,7 +401,9 @@ def run_trajectory(
     t = 0 still takes one step).  The advective CFL number is checked on
     every node that another step starts from.  A stream that runs out ends
     it as completed, or as iteration_failed after a window that did not
-    converge.
+    converge.  NumPy's overflow and invalid-value warnings are off for the
+    whole call: the numerical_failure status and the run summary name a
+    non-finite node instead.
     """
     grid = cfg.grid()
     cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)

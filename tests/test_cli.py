@@ -534,27 +534,52 @@ thresholds = inf
 """
 
 
+# the same blow-up in 3D, where phi's rate takes |A^{1/2}v| to the sixth power
+UNSTABLE_3D = """
+[grid]
+n_dim = 3
+cells = 8 8 8
+lengths = 1.0 1.0 1.0
+
+[time]
+dt = 1.0
+horizon = 30.0
+
+[initial]
+velocity_amplitude = 10000.0
+
+[stopping]
+thresholds = inf
+"""
+
+
 def test_non_finite_trajectories_exit_three(tmp_path):
-    # explicit advection at amplitude 1e4 with dt = 1 overflows within ~10 steps
-    cfg_path = _write_config(tmp_path, UNSTABLE)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with np.errstate(all="ignore"):
-            code_run = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
-            code_ens = main(["ensemble", "--config", str(cfg_path), "--trajectories", "2",
-                             "--out", str(tmp_path / "e")])
-    assert code_run == 3
-    run = json.loads((tmp_path / "r" / "run.json").read_text())
-    assert run["status"] == "numerical_failure"
-    assert code_ens == 3
-    report = json.loads((tmp_path / "e" / "ensemble.json").read_text())
-    assert report["statuses"] == ["numerical_failure"]
-    # the node that went non-finite: its step, its time (dt = 1) and its fields
-    for summary in [run, *report["trajectories"]]:
-        failure = summary["failure"]
-        assert failure["step"] == summary["steps_completed"]
-        assert float(failure["time"]) == failure["step"]
-        assert failure["fields"] in (["v"], ["d"], ["v", "d"])
+    # explicit advection at amplitude 1e4 with dt = 1 overflows within ~10 steps;
+    # on the way, energy_q at q = 4 and the 3D phi rate pass the largest float
+    for case, text in (("2d", UNSTABLE), ("q4", UNSTABLE + "\n[physics]\nq = 4.0\n"),
+                       ("3d", UNSTABLE_3D)):
+        (tmp_path / case).mkdir()
+        cfg_path = _write_config(tmp_path / case, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with np.errstate(all="ignore"):
+                code_run = main(["run", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / case / "r")])
+                code_ens = main(["ensemble", "--config", str(cfg_path), "--trajectories", "2",
+                                 "--out", str(tmp_path / case / "e")])
+        assert code_run == 3, case
+        run = json.loads((tmp_path / case / "r" / "run.json").read_text())
+        assert run["status"] == "numerical_failure"
+        assert _status(tmp_path / case / "r") == "complete"
+        assert code_ens == 3, case
+        report = json.loads((tmp_path / case / "e" / "ensemble.json").read_text())
+        assert report["statuses"] == ["numerical_failure"]
+        # the node that went non-finite: its step, its time (dt = 1) and its fields
+        for summary in [run, *report["trajectories"]]:
+            failure = summary["failure"]
+            assert failure["step"] == summary["steps_completed"]
+            assert float(failure["time"]) == failure["step"]
+            assert failure["fields"] in (["v"], ["d"], ["v", "d"])
 
 
 def test_describe_config_output_parses_back(capsys):
@@ -673,6 +698,20 @@ def test_error_message_with_a_unicode_line_separator_is_one_line(tmp_path):
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("text", [UNSTABLE, UNSTABLE_3D], ids=["2d", "3d"])
+@pytest.mark.parametrize("verb", ["run", "ensemble"])
+def test_numerical_failure_writes_only_the_cfl_warning(tmp_path, monkeypatch, verb, text):
+    # NumPy's overflow warnings on the way to the non-finite node stay off stderr
+    monkeypatch.setenv("SLCSIM_WORKERS", "2")
+    proc = _python("-m", "slcsim.cli", verb, "--config", str(_write_config(tmp_path, text)),
+                   "--trajectories", "2", "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == (1 if verb == "run" else 2), lines       # one per trajectory
+    assert all(line.startswith("advective CFL exceeded") for line in lines), lines
 
 
 # a path of 10^15 steps asks for 121 PiB, beyond the address space, so the
