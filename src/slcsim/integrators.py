@@ -205,6 +205,12 @@ def _is_finite(state: State) -> bool:
     return bool(np.all(np.isfinite(state.v)) and np.all(np.isfinite(state.d)))
 
 
+def _is_healthy(state: State) -> bool:
+    """Finite fields with a finite summary: a field can be finite while one
+    of its norms overflows."""
+    return _is_finite(state) and all(math.isfinite(x) for x in state.summary.values())
+
+
 def picard_solve(
     cache: OperatorCache,
     cfg: SimConfig,
@@ -301,8 +307,11 @@ class TrajectoryRecord:
 
     @property
     def non_finite(self) -> tuple[str, ...]:
-        """The terminal-state fields that are not finite."""
-        return tuple(k for k in ("v", "d") if not np.all(np.isfinite(getattr(self.terminal, k))))
+        """The terminal-state fields that are not finite or, where both are,
+        the entries of its summary that are not."""
+        state = self.terminal
+        fields = tuple(k for k in ("v", "d") if not np.all(np.isfinite(getattr(state, k))))
+        return fields or tuple(k for k, x in state.summary.items() if not math.isfinite(x))
 
 
 _SERIES_KEYS = (
@@ -393,17 +402,18 @@ def run_trajectory(
     ``cfg.snapshot_every`` steps (and for the initial state); a cadence of
     0 calls it never.
 
-    The initial state is the first row.  If it is not finite the trajectory
+    The initial state is the first row.  A state is healthy when its fields
+    and its summary are finite.  If the initial state is not, the trajectory
     ends as numerical_failure after 0 steps; else every node of the scheme
-    counts as a step and becomes the terminal state.  A non-finite node ends
-    it as numerical_failure, and crossing the last threshold as
-    stopped_at_tau with the node's row recorded off-cadence (a crossing at
-    t = 0 still takes one step).  The advective CFL number is checked on
-    every node that another step starts from.  A stream that runs out ends
-    it as completed, or as iteration_failed after a window that did not
-    converge.  NumPy's overflow and invalid-value warnings are off for the
-    whole call: the numerical_failure status and the run summary name a
-    non-finite node instead.
+    counts as a step and becomes the terminal state.  A node that is not
+    healthy ends it as numerical_failure without a row, and crossing the
+    last threshold as stopped_at_tau with the node's row recorded
+    off-cadence (a crossing at t = 0 still takes one step).  The advective
+    CFL number is checked on every node that another step starts from.  A
+    stream that runs out ends it as completed, or as iteration_failed after
+    a window that did not converge.  NumPy's overflow and invalid-value warnings are off for the
+    whole call: the numerical_failure status and the run summary name what
+    was not finite instead.
     """
     grid = cfg.grid()
     cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)
@@ -425,8 +435,8 @@ def run_trajectory(
     rows = [_record_row(state, cfg, cache, 1.0)]
     tau_hits: dict[float, float] = {}
     steps = 0
-    status = "numerical_failure"  # kept by a non-finite initial state or node
-    if _is_finite(state):
+    status = "numerical_failure"  # kept by an initial state or node that is not healthy
+    if _is_healthy(state):
         detect_tau(tau_hits, cfg.thresholds, state.t, state.summary["blowup"])
         if sink is not None:
             sink(0, state)
@@ -435,7 +445,7 @@ def run_trajectory(
         for node in nodes:
             steps += 1
             state = node
-            if not _is_finite(node):
+            if not _is_healthy(node):
                 break
             summ = node.summary
             phi_integral += phi_rate(summ["l2_v"], summ["a_half_v"], grid.n_dim) * dt

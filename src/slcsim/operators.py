@@ -160,7 +160,7 @@ def ericksen_divergence(grid: Grid, da: np.ndarray, db: np.ndarray) -> np.ndarra
     ga = centered_gradient(grid, da, "neumann")  # (i, k, ...) = di(da_k)
     gb = ga if db is da else centered_gradient(grid, db, "neumann")
     T = np.einsum("ik...,jk...->ij...", ga, gb)
-    out = np.zeros((grid.n_dim, *grid.cells))
+    out = np.zeros(T.shape[1:])
     for i in range(grid.n_dim):
         for j in range(grid.n_dim):
             parity = 1.0 if i == j else -1.0

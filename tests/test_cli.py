@@ -552,6 +552,11 @@ velocity_amplitude = 10000.0
 thresholds = inf
 """
 
+# the entries of a node's spectral summary, which a failure names when the
+# node's fields are finite but a norm of them is not
+SUMMARY_NAMES = {"l2_v", "l2_d", "a_half_v", "a_v", "h2_d", "lap_d", "x1_d", "grad_d",
+                 "v_norm", "e_norm", "blowup"}
+
 
 def test_non_finite_trajectories_exit_three(tmp_path):
     # explicit advection at amplitude 1e4 with dt = 1 overflows within ~10 steps;
@@ -579,7 +584,12 @@ def test_non_finite_trajectories_exit_three(tmp_path):
             failure = summary["failure"]
             assert failure["step"] == summary["steps_completed"]
             assert float(failure["time"]) == failure["step"]
-            assert failure["fields"] in (["v"], ["d"], ["v", "d"])
+            # the non-finite fields or, where both are finite, the overflowed norms
+            fields = failure["fields"]
+            assert fields in (["v"], ["d"], ["v", "d"]) or set(fields) <= SUMMARY_NAMES, fields
+        if case == "3d":  # step 7's fields are finite, and their L2 norms overflow
+            assert run["failure"]["step"] == 7
+            assert "l2_v" in run["failure"]["fields"]
 
 
 def test_describe_config_output_parses_back(capsys):
@@ -806,13 +816,25 @@ def test_run_never_imports_the_process_pool(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
 
 
+def _loaded_by_cli_import(prefixes: tuple[str, ...]) -> list[str]:
+    """The modules under any of ``prefixes`` that ``import slcsim.cli`` loads
+    in a fresh interpreter."""
+    proc = _python("-c", "import json, slcsim.cli, sys; print(json.dumps(sorted("
+                   f"m for m in sys.modules if m.startswith({prefixes!r}))))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_cli_import_loads_no_scipy_fft_or_special():
     # grid.py loads SciPy's compiled pocketfft module by path; importing the
     # scipy.fft package instead would more than double the CLI's start-up time
-    proc = _python("-c", "import json, slcsim.cli, sys; print(json.dumps(sorted("
-                   "m for m in sys.modules if m.startswith(('scipy.fft', 'scipy.special')))))")
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    assert _loaded_by_cli_import(("scipy.fft", "scipy.special")) == []
+
+
+def test_cli_import_loads_no_numpy_random_or_process_pool():
+    # the random draws and the pool are imported where they are used, so
+    # every verb's set-up, and probes' above all, skips both
+    assert _loaded_by_cli_import(("numpy.random", "concurrent.futures")) == []
 
 
 def test_unknown_verb_is_an_argparse_error():

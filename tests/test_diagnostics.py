@@ -196,12 +196,15 @@ def test_phi_increment_is_rate_times_dt():
 # ---------------------------------------------------------------------------
 
 def test_lipschitz_probe_is_positive_finite_and_rejects_identical_states():
-    [y1] = random_probe_states(G32, 4, (1.0,))
-    [y2] = random_probe_states(G32, 104, (1.0,))
-    ratio = lipschitz_probe_F(y1, y2)
+    [[y1]] = random_probe_states(G32, [4], (1.0,))
+    [[y2]] = random_probe_states(G32, [104], (1.0,))
+    [ratio] = lipschitz_probe_F([y1], [y2])
     assert np.isfinite(ratio) and ratio > 0.0
     with pytest.raises(DomainError):
-        lipschitz_probe_F(y1, y1)
+        lipschitz_probe_F([y1], [y1])
+    for firsts, seconds in (([], []), ([y1], [y2, y1])):
+        with pytest.raises(ValueError, match="pairs of states"):
+            lipschitz_probe_F(firsts, seconds)
 
 
 def _five_norm_lipschitz(y1, y2):
@@ -242,9 +245,9 @@ def _five_norm_lipschitz(y1, y2):
                          ids=["square", "3d"])
 def test_lipschitz_probe_matches_five_norm_composition_exactly(grid):
     for k in range(3):
-        for y1, y2 in zip(random_probe_states(grid, 5 * k, (0.5, 1.0, 2.0)),
-                          random_probe_states(grid, 5 * k + 50000, (0.5, 1.0, 2.0))):
-            assert lipschitz_probe_F(y1, y2) == _five_norm_lipschitz(y1, y2)
+        for [y1], [y2] in zip(random_probe_states(grid, [5 * k], (0.5, 1.0, 2.0)),
+                              random_probe_states(grid, [5 * k + 50000], (0.5, 1.0, 2.0))):
+            assert lipschitz_probe_F([y1], [y2]) == [_five_norm_lipschitz(y1, y2)]
 
 
 @pytest.mark.parametrize("grid", [G32, build_grid(3, (8, 8, 16), (1.0, 1.0, 2.0))],
@@ -254,7 +257,7 @@ def test_random_probe_states_match_per_amplitude_draws_bitwise(grid):
     per-amplitude construction, kept here as the oracle, gives the same bytes."""
     amplitudes = (0.5, 1.0, 2.0)
     for seed in (0, 7, 50005, 123456):
-        states = random_probe_states(grid, seed, amplitudes)
+        states = [state for [state] in random_probe_states(grid, [seed], amplitudes)]
         assert len(states) == len(amplitudes)
         for amp, state in zip(amplitudes, states):
             v = leray_project(grid, random_smooth_vector(
@@ -418,7 +421,7 @@ def test_random_smooth_scalar_samples_one_continuum_function():
 def test_random_probe_state_is_solenoidal_with_anchored_director():
     from slcsim.grid import divergence
 
-    [state] = random_probe_states(G32, 8, (1.0,))
+    [[state]] = random_probe_states(G32, [8], (1.0,))
     assert float(np.max(np.abs(divergence(G32, state.v)))) <= 1e-10
     mag = np.sqrt(np.sum(state.d**2, axis=0))
     assert 0.2 <= float(np.min(mag)) and float(np.max(mag)) <= 2.5
@@ -515,6 +518,15 @@ def test_ensemble_fit_reports_zero_growth_for_decaying_energy():
     assert fit.c_growth == 0.0
     assert fit.violation_count == 0
     assert np.all(energy <= energy[0] * np.exp(fit.c_growth * fit.times))
+
+
+def test_ensemble_fit_reports_infinite_growth_for_a_nan_energy():
+    # a nan mean energy bounds nothing, so its growth constant is infinite,
+    # as for an infinite one; Python's max(0.0, nan) is 0.0
+    t = np.linspace(0.0, 1.0, 5)
+    fit = ensemble_energy_bound([_fake_record(t, [1.0, 2.0, np.nan, np.nan, np.nan])])
+    assert fit.c_growth == np.inf
+    assert fit.violation_count == 0
 
 
 def test_ensemble_fit_truncates_to_common_length_and_averages():

@@ -610,18 +610,23 @@ def test_picard_terminates_at_the_exponential_euler_recursion(overrides):
 
 def test_picard_window_with_an_overflowing_distance_does_not_converge():
     """An overflowed path norm makes the convergence scale infinite, which
-    must not accept an infinite distance: the window runs out of sweeps and
-    its non-finite node ends the trajectory."""
+    must not accept an infinite distance: the window runs out of sweeps.
+    The trajectory ends at step 0 before solving it, since the initial
+    state's norms have already overflowed."""
     cfg = _cfg(scheme="picard", **_OVERFLOW)
+    cache = _cache(cfg)
+    path = sample_path(cfg.seed, 0, cfg.dt, cfg.n_steps, cfg.mode_count)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with np.errstate(all="ignore"):
-            rec = run_trajectory(cfg)
-    assert rec.status == "numerical_failure"
-    assert rec.steps_completed == 2
-    [window] = rec.windows
+            y0 = initial_state(cfg, cache.grid)
+            _, window = picard_solve(cache, cfg, y0, path, 0, 4)
+            rec = run_trajectory(cfg, path=path)
     assert not window.converged and window.iterations == cfg.max_iterations
     assert window.distances[0] == float("inf")
+    assert rec.status == "numerical_failure"
+    assert (rec.steps_completed, rec.windows) == (0, [])
+    assert np.all(np.isfinite(rec.terminal.v)) and "e_norm" in rec.non_finite
 
 
 def _traced_peak(fn) -> int:
@@ -722,7 +727,7 @@ def test_trajectory_reports_numerical_failure_and_cfl_warning(caplog):
                 rec = run_trajectory(cfg)
     assert rec.status == "numerical_failure"
     assert rec.steps_completed < cfg.n_steps
-    assert not np.all(np.isfinite(rec.terminal.v))
+    assert rec.non_finite          # the terminal node's fields or, where finite, its norms
     assert "advective CFL exceeded" in caplog.text
 
 
@@ -761,6 +766,23 @@ def test_picard_numerical_failure_keeps_the_non_finite_node(monkeypatch):
     assert rec.non_finite == ("v",)
 
 
+def test_a_node_whose_summary_overflows_ends_the_trajectory_unrecorded():
+    """On this 8^3 blow-up the fields at step 7 are still finite but their
+    norms overflow: that node ends the trajectory without a row, and the
+    failure names the summary entries, since no field is non-finite."""
+    cfg = _cfg(n_dim=3, cells=(8, 8, 8), lengths=(1.0, 1.0, 1.0), dt=1.0, horizon=10.0,
+               velocity_amplitude=1e4, thresholds=(float("inf"),))
+    rec = run_trajectory(cfg)
+    assert rec.status == "numerical_failure"
+    assert rec.steps_completed == 7
+    assert np.all(np.isfinite(rec.terminal.v)) and np.all(np.isfinite(rec.terminal.d))
+    assert rec.non_finite and set(rec.non_finite) <= set(rec.terminal.summary)
+    assert "l2_v" in rec.non_finite
+    np.testing.assert_array_equal(rec.times, np.arange(7.0))
+    for key in rec.terminal.summary:
+        assert np.all(np.isfinite(rec.series[key])), key
+
+
 def test_trajectory_snapshot_sink_follows_configured_cadence():
     seen: list[int] = []
     cfg = _cfg(horizon=12e-3, snapshot_every=5)
@@ -783,6 +805,72 @@ def test_trajectory_picard_scheme_reports_window_stats():
     assert all(w.converged for w in rec.windows)
     assert all(w.min_theta == 1.0 for w in rec.windows)
     assert len(rec.times) == 17
+
+
+# ---------------------------------------------------------------------------
+# adaptedness: a node never reads the future of its Brownian path
+# ---------------------------------------------------------------------------
+
+def _perturbed(path, k: int, factor: float):
+    """The path with every increment from step k on multiplied by factor."""
+    inc = path.increments.copy()
+    inc[k:] *= factor
+    return dataclasses.replace(path, increments=inc)
+
+
+def _node_stream(cfg: SimConfig, path) -> list[State]:
+    nodes: list[State] = []
+    run_trajectory(dataclasses.replace(cfg, snapshot_every=1), path=path,
+                   snapshot_sink=lambda j, s: nodes.append(s))
+    return nodes
+
+
+def test_em_nodes_do_not_read_later_increments():
+    """Node k of Euler-Maruyama is a function of the increments before step
+    k: scaling every increment from step k on leaves nodes 0..k bitwise
+    equal, while node k + 1, which reads increment k, moves."""
+    cfg = _cfg(horizon=12e-3)
+    path = sample_path(cfg.seed, 0, cfg.dt, cfg.n_steps, cfg.mode_count)
+    base = _node_stream(cfg, path)
+    assert len(base) == cfg.n_steps + 1
+    for k in (0, 1, 5, 11):
+        for factor in (40.0, -1.0, 0.0):
+            nodes = _node_stream(cfg, _perturbed(path, k, factor))
+            for j in range(k + 1):
+                assert nodes[j].v.tobytes() == base[j].v.tobytes(), (k, factor, j)
+                assert nodes[j].d.tobytes() == base[j].d.tobytes(), (k, factor, j)
+            assert not np.array_equal(nodes[k + 1].v, base[k + 1].v), (k, factor)
+
+
+def _halting_thresholds(blowup: np.ndarray, after: int) -> tuple[tuple[float, float], int]:
+    """Two thresholds: the lower first crossed at step 1, the higher first
+    crossed at the first step past ``after`` that sets a new running maximum
+    of the blowup series; and that step."""
+    peak = np.maximum.accumulate(blowup)
+    h = next(j for j in range(after + 1, len(blowup)) if blowup[j] > peak[j - 1])
+    low = 0.5 * (blowup[0] + blowup[1])
+    assert blowup[1] > blowup[0]
+    return (float(low), float(0.5 * (peak[h - 1] + blowup[h]))), h
+
+
+@pytest.mark.parametrize("scheme", ["em", "picard"])
+def test_stopping_time_ignores_increments_after_the_halt(scheme):
+    """tau_N is a stopping time: with the velocity growing from rest under
+    the noise, the threshold hits and the halting step stay the same when
+    the increments from the halting step on are changed.  For Picard the
+    halting node's window still sees them, through its sweep count only."""
+    cfg = _cfg(scheme=scheme, window=4e-3, horizon=16e-3, velocity_profile="zero",
+               director_profile="uniform", thresholds=(float("inf"),))
+    path = sample_path(cfg.seed, 0, cfg.dt, cfg.n_steps, cfg.mode_count)
+    thresholds, h = _halting_thresholds(run_trajectory(cfg, path=path).series["blowup"], 5)
+    cfg = dataclasses.replace(cfg, thresholds=thresholds)
+    ref = run_trajectory(cfg, path=path)
+    assert (ref.status, ref.steps_completed) == ("stopped_at_tau", h)
+    assert list(ref.tau_hits) == list(thresholds)
+    for factor in (40.0, 0.0):
+        rec = run_trajectory(cfg, path=_perturbed(path, h, factor))
+        assert (rec.status, rec.steps_completed) == ("stopped_at_tau", h), factor
+        assert rec.tau_hits == ref.tau_hits, factor
 
 
 def test_em_and_picard_agree_on_shared_noise():
