@@ -11,6 +11,7 @@ mesh-dependent equivalence factors.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,14 +20,17 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .fields import (
     State,
-    h_norm,
+    _h_norms,
+    _l2_norms,
+    _summaries,
     grad_seminorm,
+    h_norm,
     l2_norm,
     l4_norm,
     linf_norm,
 )
 from .grid import Grid, build_grid, centered_gradient, cosine_transform
-from .grid import inverse_cosine_transform, sine_transform
+from .grid import inverse_cosine_transform
 from .operators import b1, b2, drift, f_penalty, leray_project, m_term
 
 __all__ = [
@@ -116,41 +120,6 @@ def phi_rate(v_l2: float, a_half_v: float, n_dim: int) -> float:
 # inequality probes
 # ---------------------------------------------------------------------------
 
-def _item_sums(x: np.ndarray) -> np.ndarray:
-    """Sum of each item of a contiguous batch (item, ...): one sum per row,
-    which is ``np.sum`` over that item alone bit for bit."""
-    return np.sum(x.reshape(len(x), -1), axis=1)
-
-
-def _norms(grid: Grid, sq: np.ndarray) -> list[float]:
-    """sqrt(sum(sq) * volume) per item of squared magnitudes (item, *cells)."""
-    return np.sqrt(_item_sums(sq) * grid.cell_volume).tolist()
-
-
-def _l2_norms(grid: Grid, u: np.ndarray) -> list[float]:
-    """``l2_norm`` of each item of a batched vector field (component, item, *cells)."""
-    return _norms(grid, np.sum(u * u, axis=0))
-
-
-def _ve_norms(grid: Grid, v: np.ndarray, d: np.ndarray) -> tuple[list[float], list[float]]:
-    """The V- and E-norms of ``spectral_summary`` for each item of a batched
-    state, (component, item, *cells), with its arithmetic."""
-    spec = grid.spectrum()
-    mu = spec.dirichlet_eigenvalues
-    lam = spec.neumann_eigenvalues
-    vc = sine_transform(grid, v)
-    dc = cosine_transform(grid, d)
-    v_sq = np.sum(vc * vc, axis=0)
-    d_sq = np.sum(dc * dc, axis=0)
-    a_half = _norms(grid, mu * v_sq)
-    a_full = _norms(grid, mu * mu * v_sq)
-    h2_d = _norms(grid, (1.0 + lam + lam * lam) * d_sq)
-    x1_d = _norms(grid, (1.0 + lam) ** 3 * d_sq)
-    vn = [float(np.sqrt(a**2 + h**2)) for a, h in zip(a_half, h2_d)]
-    en = [float(np.sqrt(a**2 + x**2)) for a, x in zip(a_full, x1_d)]
-    return vn, en
-
-
 def lipschitz_probe_F(y1s, y2s) -> list[float]:
     """Per pair of states (y1, y2), the ratio of |F(y1)-F(y2)|_H to the
     two-term bracket with exponent n/4, at eps = 1.
@@ -164,31 +133,26 @@ def lipschitz_probe_F(y1s, y2s) -> list[float]:
         raise ValueError("need one or more pairs of states")
     grid = y1s[0].grid
     a = grid.n_dim / 4.0
-    n = len(y1s)
     v1, v2 = (np.stack([y.v for y in ys], axis=1) for ys in (y1s, y2s))
     d1, d2 = (np.stack([y.d for y in ys], axis=1) for ys in (y1s, y2s))
-    diff_d = d1 - d2
-    vn_diff, en_diff = _ve_norms(grid, v1 - v2, diff_d)
-    vn1, en1 = _ve_norms(grid, v1, d1)
-    vn2, _ = _ve_norms(grid, v2, d2)
+    diffs = _summaries(grid, v1 - v2, d1 - d2)
+    firsts = _summaries(grid, v1, d1)
+    seconds = _summaries(grid, v2, d2)
     # the drift without its Ito correction is -F, and F(y1) - F(y2) is the
     # exact negation of the drift difference, so the norms agree bit for bit
     fv1, fd1 = drift(grid, v1, d1, 1.0)
     fv2, fd2 = drift(grid, v2, d2, 1.0)
-    l2_dv = _l2_norms(grid, fv1 - fv2)
-    coeff = cosine_transform(grid, fd1 - fd2)
-    # h_norm's order-1 multiplier 0 + lam^0 + lam^1 is 1 + lam exactly
-    h1_dd = _norms(grid, (1.0 + grid.spectrum().neumann_eigenvalues)
-                   * np.sum(coeff * coeff, axis=0))
+    l2_dv = _l2_norms(grid, fv1 - fv2).tolist()
+    h1_dd = _h_norms(grid, fd1 - fd2, 1, "neumann").tolist()
     ratios = []
-    for i in range(n):
-        dv = vn_diff[i]
-        if dv == 0.0 and l2_norm(grid, diff_d[:, i]) == 0.0:
-            raise DomainError("identical states give an undefined ratio")
-        num = np.sqrt(l2_dv[i] ** 2 + h1_dd[i] ** 2)
+    for diff, s1, s2, l2, h1 in zip(diffs, firsts, seconds, l2_dv, h1_dd):
+        dv = diff["v_norm"]
+        if dv == 0.0:
+            raise DomainError("states whose difference has zero V-norm give an undefined ratio")
+        num = np.sqrt(l2 ** 2 + h1 ** 2)
         bracket = (
-            vn1[i] ** (1.0 - a) * en1[i] ** a
-            + en_diff[i] ** a * dv ** (-a) * vn2[i]
+            s1["v_norm"] ** (1.0 - a) * s1["e_norm"] ** a
+            + diff["e_norm"] ** a * dv ** (-a) * s2["v_norm"]
             + 1.0
         )
         ratios.append(float(num / (dv * bracket)))
@@ -319,10 +283,12 @@ def random_smooth_vector(
     return _smooth_vectors(grid, (seed,), components, bc_kind, amplitude)[:, 0]
 
 
-def random_probe_states(grid: Grid, seeds, amplitudes) -> list[list[State]]:
+def random_probe_states(grid: Grid, seeds, amplitudes) -> Iterator[list[State]]:
     """Solenoidal random velocity plus a near-unit random director: per
     amplitude a, one state per seed, v = a * V and d = a * D + e_2 for that
-    seed's draw of V and D.  The seeds are drawn as one batch.
+    seed's draw of V and D.  The seeds are drawn as one batch when the first
+    amplitude is read, and each amplitude's states are scaled when it is
+    read, so a caller that reads one amplitude at a time holds one.
 
     For a power-of-two a this is bit for bit the state drawn at amplitude a
     (velocity ``leray_project`` of the series at a, director the series at
@@ -332,13 +298,11 @@ def random_probe_states(grid: Grid, seeds, amplitudes) -> list[list[State]]:
     """
     v = leray_project(grid, _smooth_vectors(grid, seeds, grid.n_dim, bc_kind="dirichlet"))
     d = _smooth_vectors(grid, [s + 1 for s in seeds], 3, bc_kind="neumann", amplitude=0.5)
-    states = []
     for a in amplitudes:
         v_a = a * v
         d_a = a * d
         d_a[2] += 1.0  # anchor away from zero so |d| is O(1)
-        states.append([State(grid, v_a[:, i], d_a[:, i], 0.0) for i in range(len(seeds))])
-    return states
+        yield [State(grid, v_a[:, i], d_a[:, i], 0.0) for i in range(len(seeds))]
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +449,13 @@ def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:
         u = leray_project(g32, _smooth_vectors(g32, [seed + 3 * k for k in ks], 2))
         w = _smooth_vectors(g32, [seed + 3 * k + 1 for k in ks], 2)
         d = _smooth_vectors(g32, [seed + 3 * k + 2 for k in ks], 3, bc_kind="neumann")
-        l2_u = _l2_norms(g32, u)
+        l2_u = _l2_norms(g32, u).tolist()
         for name, form, x, bc_kind in (("b1_skew_symmetry", b1, w, "dirichlet"),
                                        ("b2_skew_symmetry", b2, d, "neumann")):
             # each item's pairing sums over its components and cells at once
             product = np.ascontiguousarray((form(g32, u, x) * x).swapaxes(0, 1))
-            pairings = _item_sums(product) * g32.cell_volume
-            for i, (p, n_u, n_x) in enumerate(zip(pairings, l2_u, _l2_norms(g32, x))):
+            pairings = np.sum(product.reshape(len(ks), -1), axis=1) * g32.cell_volume
+            for i, (p, n_u, n_x) in enumerate(zip(pairings, l2_u, _l2_norms(g32, x).tolist())):
                 scale = n_u * grad_seminorm(g32, x[:, i], bc_kind) * n_x + 1e-300
                 worst[name] = max(worst[name], abs(float(p)) / scale)
     for name, value in worst.items():
@@ -558,14 +522,14 @@ def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:
     )
 
     # Lipschitz constant estimate across an amplitude sweep; each seed's
-    # fields are drawn once and scaled to every amplitude
+    # fields are drawn once and scaled to one amplitude at a time
     amplitudes = (0.5, 1.0, 2.0)
     estimates = [0.0] * len(amplitudes)
     for ks in _chunks(100):
         firsts = random_probe_states(g32, [seed + 5 * k for k in ks], amplitudes)
         seconds = random_probe_states(g32, [seed + 5 * k + 50000 for k in ks], amplitudes)
-        for i, (y1s, y2s) in enumerate(zip(firsts, seconds)):
-            estimates[i] = max(estimates[i], *lipschitz_probe_F(y1s, y2s))
+        estimates = [max(e, *lipschitz_probe_F(y1s, y2s))
+                     for e, y1s, y2s in zip(estimates, firsts, seconds)]
     results.append(
         _bounded("lipschitz_amplitude_stability", max(estimates) / min(estimates), 1.0, 3.0,
                  detail=f"estimates={estimates}")

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, cosine_transform, sine_transform
+from .grid import Grid, Spectrum, cosine_transform, sine_transform
 
 __all__ = [
     "State",
@@ -65,6 +65,23 @@ class State:
 
 
 # ---------------------------------------------------------------------------
+# the per-item quadrature
+# ---------------------------------------------------------------------------
+#
+# A batch stacks vector fields along item axes after the component axis,
+# (component, *items, *cells); a scalar field (*cells) is never batched.  The
+# kernels below take any number of item axes, none included: a single-field
+# norm is the kernel read on no item axis, and each item of a batch gets the
+# bytes of that item alone.
+
+def _item_norms(grid: Grid, sq: np.ndarray) -> np.ndarray:
+    """sqrt(sum(sq) * cell_volume) of each item of squared magnitudes
+    (*items, *cells): one sum over the cells per item."""
+    cells = tuple(range(sq.ndim - grid.n_dim, sq.ndim))
+    return np.sqrt(np.add.reduce(sq, axis=cells) * grid.cell_volume)
+
+
+# ---------------------------------------------------------------------------
 # pointwise-magnitude norms
 # ---------------------------------------------------------------------------
 
@@ -74,8 +91,13 @@ def _magnitude_sq(arr: np.ndarray, grid: Grid) -> np.ndarray:
     return np.sum(arr * arr, axis=0)
 
 
+def _l2_norms(grid: Grid, arr: np.ndarray) -> np.ndarray:
+    """``l2_norm`` of each item of a batch."""
+    return _item_norms(grid, _magnitude_sq(arr, grid))
+
+
 def l2_norm(grid: Grid, arr: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(_magnitude_sq(arr, grid)) * grid.cell_volume))
+    return float(_l2_norms(grid, arr))
 
 
 def l4_norm(grid: Grid, arr: np.ndarray) -> float:
@@ -91,9 +113,12 @@ def linf_norm(grid: Grid, arr: np.ndarray) -> float:
 # spectral norms
 # ---------------------------------------------------------------------------
 
-def _coeff_sq(grid: Grid, arr: np.ndarray, bc_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """(squared transform coefficients summed over components, eigenvalue table)."""
-    spec = grid.spectrum()
+def _coeff_sq(
+    grid: Grid, spec: Spectrum, arr: np.ndarray, bc_kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(squared transform coefficients summed over the component axis, if
+    any, eigenvalue table), the eigenvalues read from ``spec``, the grid's
+    spectrum, which a caller reading both tables fetches once."""
     if bc_kind == "neumann":
         coeff = cosine_transform(grid, arr)
         lam = spec.neumann_eigenvalues
@@ -102,26 +127,60 @@ def _coeff_sq(grid: Grid, arr: np.ndarray, bc_kind: str) -> tuple[np.ndarray, np
         lam = spec.dirichlet_eigenvalues
     else:
         raise ValueError(f"unknown bc_kind {bc_kind!r}")
-    sq = coeff * coeff
-    if arr.ndim > grid.n_dim:
-        sq = np.sum(sq, axis=tuple(range(arr.ndim - grid.n_dim)))
-    return sq, lam
+    return _magnitude_sq(coeff, grid), lam
 
-def h_norm(grid: Grid, arr: np.ndarray, order: int, bc_kind: str) -> float:
-    """Sobolev norm of order k: multiplier 1 + lambda + ... + lambda^k."""
+
+def _h_norms(grid: Grid, arr: np.ndarray, order: int, bc_kind: str) -> np.ndarray:
+    """``h_norm`` of each item of a batch."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    sq, lam = _coeff_sq(grid, arr, bc_kind)
+    sq, lam = _coeff_sq(grid, grid.spectrum(), arr, bc_kind)
     mult = np.zeros_like(lam)
     for m in range(order + 1):
         mult += lam**m
-    return float(np.sqrt(np.sum(mult * sq) * grid.cell_volume))
+    return _item_norms(grid, mult * sq)
+
+
+def h_norm(grid: Grid, arr: np.ndarray, order: int, bc_kind: str) -> float:
+    """Sobolev norm of order k: multiplier 1 + lambda + ... + lambda^k."""
+    return float(_h_norms(grid, arr, order, bc_kind))
 
 
 def grad_seminorm(grid: Grid, arr: np.ndarray, bc_kind: str) -> float:
     """|grad u| realized as the lambda-weighted coefficient norm."""
-    sq, lam = _coeff_sq(grid, arr, bc_kind)
-    return float(np.sqrt(np.sum(lam * sq) * grid.cell_volume))
+    sq, lam = _coeff_sq(grid, grid.spectrum(), arr, bc_kind)
+    return float(_item_norms(grid, lam * sq))
+
+
+# the entries of a summary that are norms read off the coefficients, in order
+_NORM_KEYS = ("l2_v", "l2_d", "a_half_v", "a_v", "h2_d", "lap_d", "x1_d", "grad_d")
+
+
+def _summaries(grid: Grid, v: np.ndarray, d: np.ndarray) -> list[dict[str, float]]:
+    """``spectral_summary`` of each item of a batched state, v (n_dim, *items,
+    *cells) and d (3, *items, *cells), in the items' C order: one summary
+    for a single state."""
+    spec = grid.spectrum()
+    v_sq, mu = _coeff_sq(grid, spec, v, "dirichlet")
+    d_sq, lam = _coeff_sq(grid, spec, d, "neumann")
+    # one weighted product alive at a time, its norms kept per item
+    norms = np.array([
+        _item_norms(grid, v_sq),
+        _item_norms(grid, d_sq),
+        _item_norms(grid, mu * v_sq),
+        _item_norms(grid, mu * mu * v_sq),
+        _item_norms(grid, (1.0 + lam + lam * lam) * d_sq),
+        _item_norms(grid, lam * lam * d_sq),
+        _item_norms(grid, (1.0 + lam) ** 3 * d_sq),
+        _item_norms(grid, lam * d_sq),
+    ])
+    rows = norms.reshape(len(_NORM_KEYS), -1).T.tolist()
+    summaries = [dict(zip(_NORM_KEYS, row)) for row in rows]
+    for s in summaries:
+        s["v_norm"] = math.sqrt(s["a_half_v"] ** 2 + s["h2_d"] ** 2)
+        s["e_norm"] = math.sqrt(s["a_v"] ** 2 + s["x1_d"] ** 2)
+        s["blowup"] = s["a_half_v"] + s["lap_d"]
+    return summaries
 
 
 def spectral_summary(state: State) -> dict[str, float]:
@@ -132,38 +191,8 @@ def spectral_summary(state: State) -> dict[str, float]:
     the norm e_norm of the regularity space E (|A v|^2 + |(I+A)^{3/2} d|^2,
     square-rooted), and the blow-up functional |A^{1/2} v| + |Delta d|.
     """
-    grid = state.grid
-    spec = grid.spectrum()
-    vol = grid.cell_volume
-    vc = sine_transform(grid, state.v)
-    dc = cosine_transform(grid, state.d)
-    v_sq = np.sum(vc * vc, axis=0)
-    d_sq = np.sum(dc * dc, axis=0)
-    mu = spec.dirichlet_eigenvalues
-    lam = spec.neumann_eigenvalues
-    l2_v = float(np.sqrt(np.sum(v_sq) * vol))
-    l2_d = float(np.sqrt(np.sum(d_sq) * vol))
-    a_half = float(np.sqrt(np.sum(mu * v_sq) * vol))
-    a_full = float(np.sqrt(np.sum(mu * mu * v_sq) * vol))
-    h2_d = float(np.sqrt(np.sum((1.0 + lam + lam * lam) * d_sq) * vol))
-    lap_d = float(np.sqrt(np.sum(lam * lam * d_sq) * vol))
-    x1_d = float(np.sqrt(np.sum((1.0 + lam) ** 3 * d_sq) * vol))
-    grad_d = float(np.sqrt(np.sum(lam * d_sq) * vol))
-    vn = float(np.sqrt(a_half**2 + h2_d**2))
-    en = float(np.sqrt(a_full**2 + x1_d**2))
-    return {
-        "l2_v": l2_v,
-        "l2_d": l2_d,
-        "a_half_v": a_half,
-        "a_v": a_full,
-        "h2_d": h2_d,
-        "lap_d": lap_d,
-        "x1_d": x1_d,
-        "grad_d": grad_d,
-        "v_norm": vn,
-        "e_norm": en,
-        "blowup": a_half + lap_d,
-    }
+    [summary] = _summaries(state.grid, state.v, state.d)
+    return summary
 
 
 # ---------------------------------------------------------------------------

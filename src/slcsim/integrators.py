@@ -205,10 +205,12 @@ def _is_finite(state: State) -> bool:
     return bool(np.all(np.isfinite(state.v)) and np.all(np.isfinite(state.d)))
 
 
-def _is_healthy(state: State) -> bool:
-    """Finite fields with a finite summary: a field can be finite while one
-    of its norms overflows."""
-    return _is_finite(state) and all(math.isfinite(x) for x in state.summary.values())
+def _non_finite(state: State) -> tuple[str, ...]:
+    """The fields of ``state`` that are not finite or, where both are, the
+    entries of its summary that are not: a field can be finite while one of
+    its norms overflows.  A state is healthy when this is empty."""
+    fields = tuple(k for k in ("v", "d") if not np.all(np.isfinite(getattr(state, k))))
+    return fields or tuple(k for k, x in state.summary.items() if not math.isfinite(x))
 
 
 def picard_solve(
@@ -307,11 +309,8 @@ class TrajectoryRecord:
 
     @property
     def non_finite(self) -> tuple[str, ...]:
-        """The terminal-state fields that are not finite or, where both are,
-        the entries of its summary that are not."""
-        state = self.terminal
-        fields = tuple(k for k in ("v", "d") if not np.all(np.isfinite(getattr(state, k))))
-        return fields or tuple(k for k, x in state.summary.items() if not math.isfinite(x))
+        """What of the terminal state is not finite, by ``_non_finite``."""
+        return _non_finite(self.terminal)
 
 
 _SERIES_KEYS = (
@@ -436,7 +435,7 @@ def run_trajectory(
     tau_hits: dict[float, float] = {}
     steps = 0
     status = "numerical_failure"  # kept by an initial state or node that is not healthy
-    if _is_healthy(state):
+    if not _non_finite(state):
         detect_tau(tau_hits, cfg.thresholds, state.t, state.summary["blowup"])
         if sink is not None:
             sink(0, state)
@@ -445,7 +444,7 @@ def run_trajectory(
         for node in nodes:
             steps += 1
             state = node
-            if not _is_healthy(node):
+            if _non_finite(node):
                 break
             summ = node.summary
             phi_integral += phi_rate(summ["l2_v"], summ["a_half_v"], grid.n_dim) * dt

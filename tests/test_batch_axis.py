@@ -1,6 +1,6 @@
 """The batch axis: a batched field is shaped (component, item, *cells), and
-every batched operator and probe kernel gives each item the bytes of that
-item alone.
+every batched operator, norm kernel and probe kernel gives each item the
+bytes of that item alone.
 
 The per-item results are the single-field calls, which the oracles of
 test_operators.py and test_diagnostics.py pin in turn, so these checks carry
@@ -14,16 +14,14 @@ import pytest
 
 from slcsim import diagnostics
 from slcsim.diagnostics import (
-    _l2_norms,
     _series,
-    _ve_norms,
     lipschitz_probe_F,
     probe_suite,
     random_probe_states,
     random_smooth_scalar,
     random_smooth_vector,
 )
-from slcsim.fields import State, l2_norm, spectral_summary
+from slcsim.fields import State, _h_norms, _l2_norms, _summaries, h_norm, l2_norm, spectral_summary
 from slcsim.grid import build_grid
 from slcsim.operators import b1, b2, drift, ericksen_divergence, f_penalty, leray_project
 
@@ -94,24 +92,27 @@ def test_series_kernel_matches_each_item_bitwise(grid, slab_bytes, monkeypatch):
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_batched_norms_match_each_item_exactly(grid):
     (v, vs), (w, ws), (d, ds) = _batch(grid, 0)
-    vn, en = _ve_norms(grid, v, d)
     summaries = [spectral_summary(State(grid, a, b)) for a, b in zip(vs, ds)]
-    assert vn == [s["v_norm"] for s in summaries]
-    assert en == [s["e_norm"] for s in summaries]
-    assert _l2_norms(grid, w) == [l2_norm(grid, a) for a in ws]
-    assert _l2_norms(grid, d) == [l2_norm(grid, a) for a in ds]
+    assert _summaries(grid, v, d) == summaries
+    assert len(summaries[0]) == 11
+    for batch, fields in ((v, vs), (w, ws), (d, ds)):
+        assert _l2_norms(grid, batch).tolist() == [l2_norm(grid, a) for a in fields]
+    for batch, fields, bc_kind in ((w, ws, "dirichlet"), (d, ds, "neumann")):
+        assert _h_norms(grid, batch, 1, bc_kind).tolist() == [
+            h_norm(grid, a, 1, bc_kind) for a in fields
+        ]
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_batched_probe_states_and_lipschitz_ratios_match_each_item(grid):
     amplitudes = (0.5, 1.0, 2.0)
     seeds = list(SEEDS)
-    firsts = random_probe_states(grid, seeds, amplitudes)
-    seconds = random_probe_states(grid, [s + 50000 for s in seeds], amplitudes)
+    firsts = list(random_probe_states(grid, seeds, amplitudes))
+    seconds = list(random_probe_states(grid, [s + 50000 for s in seeds], amplitudes))
     assert [len(states) for states in firsts] == [len(seeds)] * len(amplitudes)
     for i, (y1s, y2s) in enumerate(zip(firsts, seconds)):
         for seed, y1 in zip(seeds, y1s):
-            alone = random_probe_states(grid, [seed], amplitudes)[i][0]
+            alone = list(random_probe_states(grid, [seed], amplitudes))[i][0]
             assert y1.v.tobytes() == alone.v.tobytes()
             assert y1.d.tobytes() == alone.d.tobytes()
         assert lipschitz_probe_F(y1s, y2s) == [

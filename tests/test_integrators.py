@@ -13,6 +13,9 @@ director rotation about the magnetic field's axis, with a control rotation
 that does not commute, and with the reflection of either wall pair, with
 controls that drop the velocity or the noise signs, and to converge at
 strong order 1/2 to the closed-form Stratonovich rotation of the director.
+Both schemes are checked to be adapted, Picard up to its window's
+tolerance, and EM without noise to dissipate what the energy law behind
+2D nonexplosion prescribes.
 """
 
 from __future__ import annotations
@@ -818,11 +821,12 @@ def _perturbed(path, k: int, factor: float):
     return dataclasses.replace(path, increments=inc)
 
 
-def _node_stream(cfg: SimConfig, path) -> list[State]:
+def _node_stream(cfg: SimConfig, path) -> tuple[integrators.TrajectoryRecord, list[State]]:
+    """The trajectory's record and every one of its nodes."""
     nodes: list[State] = []
-    run_trajectory(dataclasses.replace(cfg, snapshot_every=1), path=path,
-                   snapshot_sink=lambda j, s: nodes.append(s))
-    return nodes
+    rec = run_trajectory(dataclasses.replace(cfg, snapshot_every=1), path=path,
+                         snapshot_sink=lambda j, s: nodes.append(s))
+    return rec, nodes
 
 
 def test_em_nodes_do_not_read_later_increments():
@@ -831,11 +835,11 @@ def test_em_nodes_do_not_read_later_increments():
     equal, while node k + 1, which reads increment k, moves."""
     cfg = _cfg(horizon=12e-3)
     path = sample_path(cfg.seed, 0, cfg.dt, cfg.n_steps, cfg.mode_count)
-    base = _node_stream(cfg, path)
+    _, base = _node_stream(cfg, path)
     assert len(base) == cfg.n_steps + 1
     for k in (0, 1, 5, 11):
         for factor in (40.0, -1.0, 0.0):
-            nodes = _node_stream(cfg, _perturbed(path, k, factor))
+            _, nodes = _node_stream(cfg, _perturbed(path, k, factor))
             for j in range(k + 1):
                 assert nodes[j].v.tobytes() == base[j].v.tobytes(), (k, factor, j)
                 assert nodes[j].d.tobytes() == base[j].d.tobytes(), (k, factor, j)
@@ -871,6 +875,38 @@ def test_stopping_time_ignores_increments_after_the_halt(scheme):
         rec = run_trajectory(cfg, path=_perturbed(path, h, factor))
         assert (rec.status, rec.steps_completed) == ("stopped_at_tau", h), factor
         assert rec.tau_hits == ref.tau_hits, factor
+
+
+def test_picard_nodes_read_later_increments_only_through_the_sweep_count():
+    """Node k of a Picard window is a function of the increments before step
+    k up to the window's tolerance.  Sweep m fixes node m, so nodes up to
+    the fewer of the two runs' sweep counts stay bitwise; the stopping rule
+    reads the whole window, so when scaling the increments from step k on
+    changes the sweep count, the nodes between that prefix and k move
+    within the tolerance.  Measured on 16^2, dt 2^-10, one 32-step window,
+    k = 24: x40 takes 15 sweeps against 9 and moves nodes 10..24 by at most
+    2.4e-12 of their V-norm, against the tolerance 1e-9; x-1 keeps 9
+    sweeps and nodes 0..24 bitwise."""
+    dt = 2.0**-10
+    cfg = _cfg(scheme="picard", dt=dt, horizon=32 * dt, window=32 * dt)
+    path = sample_path(cfg.seed, 0, cfg.dt, cfg.n_steps, cfg.mode_count)
+    rec, base_nodes = _node_stream(cfg, path)
+    base = rec.windows[0].iterations
+    k = 24
+    for factor, moved in ((40.0, True), (-1.0, False)):
+        rec, nodes = _node_stream(cfg, _perturbed(path, k, factor))
+        assert rec.windows[0].converged, factor
+        sweeps = rec.windows[0].iterations
+        assert (sweeps != base) == moved, (factor, sweeps, base)
+        fixed = min(sweeps, base, k) if moved else k
+        for j in range(fixed + 1):
+            assert nodes[j].v.tobytes() == base_nodes[j].v.tobytes(), (factor, j)
+            assert nodes[j].d.tobytes() == base_nodes[j].d.tobytes(), (factor, j)
+        for j in range(fixed + 1, k + 1):
+            a, b = nodes[j], base_nodes[j]
+            gap = spectral_summary(State(a.grid, a.v - b.v, a.d - b.d))["v_norm"]
+            assert 0.0 < gap <= cfg.tolerance * max(1.0, b.summary["v_norm"]), (factor, j)
+        assert not np.array_equal(nodes[k + 1].v, base_nodes[k + 1].v), factor
 
 
 def test_em_and_picard_agree_on_shared_noise():
@@ -919,6 +955,35 @@ def test_em_converges_at_second_order_in_space():
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert errors[0] <= 3.2e-3, errors          # 2x the measured 1.6e-3
     assert all(1.8 <= p <= 2.6 for p in orders), (errors, orders)
+
+
+def test_em_dissipates_the_energy_its_law_prescribes():
+    """Without noise, E(T) - E(0) + int_0^T (|A^{1/2} v|^2 + |Delta d - f(d)|^2)
+    dt = 0 for the Ginzburg-Landau energy E, the functional behind the 2D
+    nonexplosion argument.  The residual R of the recorded series, its
+    integral by the trapezoid rule, falls at EM's first order and its
+    Richardson extrapolation 2 R(dt/2) - R(dt) vanishes.  Measured on 32^2 to
+    the horizon 2^-5 with velocity amplitude 4, relative to the dissipated
+    energy: R = 8.1e-2, 4.2e-2, 2.1e-2, 1.1e-2 at dt 2^-8..2^-11, slope 0.97,
+    extrapolated 3.7e-4.  Slopes and extrapolated values of drift mutants:
+    ericksen_divergence x2 2.08 and -9.9e-3, b2 sign-flipped 0.54 and
+    +2.2e-2, f_penalty x2 0.73 and +9.1e-3, b2 x1.1 0.93 and +1.6e-3.  A
+    factor on b1 moves neither, since b1 is exactly energy-neutral."""
+    steps = [2.0**-e for e in (8, 9, 10, 11)]
+    residuals = []
+    for dt in steps:
+        cfg = _cfg(cells=(32, 32), dt=dt, horizon=2.0**-5, sigma=0.0,
+                   magnetic_amplitude=0.0, velocity_amplitude=4.0)
+        rec = run_trajectory(cfg)
+        assert rec.status == "completed"
+        rate = rec.series["a_half_v"] ** 2 + rec.series["psi"]
+        dissipated = float(np.sum(0.5 * (rate[1:] + rate[:-1]) * np.diff(rec.times)))
+        energy = rec.series["gl_energy"]
+        residuals.append((energy[-1] - energy[0] + dissipated) / dissipated)
+    slope = float(np.polyfit(np.log(steps), np.log(np.abs(residuals)), 1)[0])
+    extrapolated = 2.0 * residuals[-1] - residuals[-2]
+    assert 0.9 <= slope <= 1.1, (residuals, slope)
+    assert abs(extrapolated) <= 1e-3, residuals   # 2.7x the measured 3.7e-4
 
 
 def test_run_ensemble_is_the_same_serial_and_pooled():

@@ -16,6 +16,10 @@ Every name an ``import`` binds, in the package and in its tests, must occur
 as an ``ast.Name`` in the same module.  Names the module lists in
 ``__all__`` are re-exports and ``from __future__`` imports are directives;
 both are exempt.
+
+No top-level name is defined in two modules of the package, so a helper
+is written once: a function, a class or an assignment target, dunders
+such as ``__all__`` aside.
 """
 
 from __future__ import annotations
@@ -140,3 +144,27 @@ def test_every_imported_name_is_used():
         for name in _unused_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert unused == []
+
+
+def _top_level_definitions(tree: ast.Module) -> set[str]:
+    """Names a module's own statements bind at top level: functions, classes
+    and assignment targets, leaving out dunders such as ``__all__``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {
+                n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_no_top_level_name_is_defined_in_two_modules():
+    owners: dict[str, list[str]] = {}
+    for module, tree in _trees().items():
+        for name in _top_level_definitions(tree):
+            owners.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
