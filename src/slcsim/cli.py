@@ -3,7 +3,9 @@
 Output layout is deliberately boring: a manifest written before any
 compute with status "running" and rewritten once the verb ends ("complete",
 or "aborted: <the stderr line>" on exit 2), one CSV per trajectory, one JSON
-with the ensemble fit, binary snapshots only when asked.  Identical (config, seed) pairs must produce
+with the ensemble fit, binary snapshots only when asked.  Every JSON file goes
+through ``_write_json`` and every CSV, a trajectory's or the ensemble means',
+through ``_write_csv``.  Identical (config, seed) pairs must produce
 identical bytes, so nothing here records wall-clock time or hostnames.
 
 Exit codes: 0 success, 1 a Picard window did not converge, 2 configuration,
@@ -28,7 +30,8 @@ from .config import SimConfig, parse_config_file, to_text
 from .diagnostics import ensemble_energy_bound, probe_suite
 from .errors import ConfigError, DomainError
 from .fields import write_snapshot
-from .integrators import _SERIES_KEYS, TrajectoryRecord, run_ensemble, run_trajectory
+from .integrators import _SERIES_KEYS, TrajectoryRecord, contraction_probe
+from .integrators import run_ensemble, run_trajectory
 
 WORKERS_ENV = "SLCSIM_WORKERS"
 EXIT_ITERATION_FAILED = 1
@@ -102,24 +105,27 @@ class _Manifest:
             self._dump(status)
 
     def _dump(self, status: str) -> None:
-        with open(self.path, "w") as fh:
-            json.dump({**self.fields, "status": status}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.path, {**self.fields, "status": status})
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_series_csv(path: Path, rec: TrajectoryRecord) -> None:
+def _write_csv(path: Path, times, series: dict, prefix: str = "") -> None:
+    """One row per time: t, then each series of ``_SERIES_KEYS`` in that
+    order, headed by its key after ``prefix``."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", *_SERIES_KEYS])
-        for i in range(len(rec.times)):
-            w.writerow(
-                [_fmt(float(rec.times[i]))]
-                + [_fmt(float(rec.series[k][i])) for k in _SERIES_KEYS]
-            )
+        w.writerow(["t", *(prefix + k for k in _SERIES_KEYS)])
+        for i, t in enumerate(times):
+            w.writerow([_fmt(float(t)), *(_fmt(float(series[k][i])) for k in _SERIES_KEYS)])
 
 
 def _traj_summary(rec: TrajectoryRecord) -> dict:
@@ -164,10 +170,8 @@ def _cmd_run(args, manifest: _Manifest) -> int:
     manifest.write(out, "run", cfg, ["trajectory_000000.csv", "run.json"])
     rec = run_trajectory(cfg, trajectory=0,
                          snapshot_sink=_snapshot_sink(out, "trajectory_000000"))
-    _write_series_csv(out / "trajectory_000000.csv", rec)
-    with open(out / "run.json", "w") as fh:
-        json.dump(_traj_summary(rec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_csv(out / "trajectory_000000.csv", rec.times, rec.series)
+    _write_json(out / "run.json", _traj_summary(rec))
     print(f"trajectory 0: {rec.status} ({rec.steps_completed} steps)")
     return _exit_code([rec])
 
@@ -183,18 +187,12 @@ def _cmd_ensemble(args, manifest: _Manifest) -> int:
 
     records = run_ensemble(cfg, workers)
     for rec, name in zip(records, names):
-        _write_series_csv(out / name, rec)
+        _write_csv(out / name, rec.times, rec.series)
 
     fit = ensemble_energy_bound(records)
     n = len(fit.times)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"mean_{k}" for k in _SERIES_KEYS])
-        means = {
-            k: np.mean([r.series[k][:n] for r in records], axis=0) for k in _SERIES_KEYS
-        }
-        for i in range(n):
-            w.writerow([_fmt(float(fit.times[i]))] + [_fmt(float(means[k][i])) for k in _SERIES_KEYS])
+    means = {k: np.mean([r.series[k][:n] for r in records], axis=0) for k in _SERIES_KEYS}
+    _write_csv(out / "summary.csv", fit.times, means, prefix="mean_")
 
     statuses = sorted({r.status for r in records})
     blowups = sum(1 for r in records if r.status == "stopped_at_tau")
@@ -207,9 +205,7 @@ def _cmd_ensemble(args, manifest: _Manifest) -> int:
         "statuses": statuses,
         "trajectories": [_traj_summary(r) for r in records],
     }
-    with open(out / "ensemble.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "ensemble.json", report)
 
     print(
         f"ensemble: {cfg.trajectories} trajectories, "
@@ -224,7 +220,9 @@ def _cmd_probes(args, manifest: _Manifest) -> int:
         raise ConfigError("probes writes no snapshots; snapshot_every is for run")
     out = Path(args.out)
     manifest.write(out, "probes", cfg, ["probes_report.json"])
-    results = probe_suite(seed=cfg.seed, cfg=None if args.skip_contraction else cfg)
+    results = probe_suite(seed=cfg.seed)
+    if not args.skip_contraction:
+        results.append(contraction_probe(cfg))
     all_passed = all(r.passed for r in results)
     payload = {
         "all_passed": all_passed,
@@ -240,9 +238,7 @@ def _cmd_probes(args, manifest: _Manifest) -> int:
             for r in results
         ],
     }
-    with open(out / "probes_report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "probes_report.json", payload)
     for r in results:
         mark = "pass" if r.passed else "FAIL"
         print(f"{mark}  {r.name} = {r.value:.6g}  (allowed [{r.low:g}, {r.high:g}])")

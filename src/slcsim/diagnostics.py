@@ -1,8 +1,10 @@
 """Numerically checkable structure: energy functionals, inequality probes, fits.
 
-Everything here is post-hoc analysis on states or trajectory records.  The
-probes estimate the constants of interpolation/Lipschitz inequalities on
-batches of random smooth fields; tests assert stability of those estimates
+Everything here is post-hoc analysis on states or trajectory records, and
+nothing here integrates: the Picard contraction probe lives beside
+``picard_solve`` in :mod:`slcsim.integrators`.  The probes estimate the
+constants of interpolation/Lipschitz inequalities on batches of random
+smooth fields; tests assert stability of those estimates
 (across refinement, amplitude) rather than specific values, because the
 underlying constants are existence-level and the discrete norms carry
 mesh-dependent equivalence factors.
@@ -51,7 +53,6 @@ __all__ = [
     "duality_gap",
     "richardson_order",
     "ensemble_energy_bound",
-    "contraction_slopes",
     "probe_suite",
 ]
 
@@ -374,43 +375,6 @@ def ensemble_energy_bound(records) -> EnsembleFit:
 
 
 # ---------------------------------------------------------------------------
-# contraction-slope probe
-# ---------------------------------------------------------------------------
-
-def contraction_slopes(cfg, windows) -> tuple[float, list[float]]:
-    """Picard contraction factor versus window length, on the first window.
-
-    Returns the log-log slope of the per-window mean contraction ratio
-    against the integrated window length (whole steps of the refined dt),
-    together with the measured ratios.  The step size is refined so even the
-    shortest window holds >= 64 steps; otherwise quadrature error masks the
-    continuum scaling of the factor.
-    """
-    from .integrators import initial_state, picard_solve
-    from .noise import sample_path
-    from .operators import OperatorCache
-
-    grid = cfg.grid()
-    cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)
-    y0 = initial_state(cfg, grid)
-    dt = min(cfg.dt, min(windows) / 64.0)
-    ratios = []
-    lengths = []
-    for w in windows:
-        n_win = int(round(w / dt))
-        lengths.append(n_win * dt)
-        path = sample_path(cfg.seed, 0, dt, n_win, cfg.mode_count)
-        _, stats = picard_solve(cache, cfg, y0, path, 0, n_win)
-        ds = stats.distances
-        usable = [b / a for a, b in zip(ds, ds[1:]) if a > 0.0 and b > 1e-13]
-        if not usable:
-            raise DomainError("window converged too fast to measure a contraction ratio")
-        ratios.append(float(np.exp(np.mean(np.log(usable)))))
-    slope = richardson_order(ratios, lengths)
-    return slope, ratios
-
-
-# ---------------------------------------------------------------------------
 # probe suite
 # ---------------------------------------------------------------------------
 
@@ -427,19 +391,15 @@ class ProbeResult:
         return self.low <= self.value <= self.high
 
 
-def _bounded(name: str, value: float, low: float, high: float, detail: str = "") -> ProbeResult:
-    return ProbeResult(name, float(value), low, high, detail)
-
-
 def _chunks(count: int):
     """range(count) in consecutive runs of at most ``_SEEDS_PER_BATCH``."""
     for lo in range(0, count, _SEEDS_PER_BATCH):
         yield range(lo, min(lo + _SEEDS_PER_BATCH, count))
 
 
-def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:
+def probe_suite(seed: int = 0) -> list[ProbeResult]:
     """The mechanical inequality checks, sized for seconds not minutes; the
-    Picard contraction probe runs on ``cfg`` when one is given."""
+    Picard contraction probe is :func:`slcsim.integrators.contraction_probe`."""
     results: list[ProbeResult] = []
     g32 = build_grid(2, (32, 32), (1.0, 1.0))
 
@@ -459,7 +419,7 @@ def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:
                 scale = n_u * grad_seminorm(g32, x[:, i], bc_kind) * n_x + 1e-300
                 worst[name] = max(worst[name], abs(float(p)) / scale)
     for name, value in worst.items():
-        results.append(_bounded(name, value, 0.0, 1e-11))
+        results.append(ProbeResult(name, value, 0.0, 1e-11))
 
     # projection identities
     worst_idem = 0.0
@@ -473,8 +433,8 @@ def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:
         p = random_smooth_scalar(g32, seed + 2000 + k, bc_kind="neumann")
         gp = centered_gradient(g32, p, "neumann")
         worst_grad = max(worst_grad, l2_norm(g32, leray_project(g32, gp)) / (l2_norm(g32, gp) + 1e-300))
-    results.append(_bounded("leray_idempotence", worst_idem, 0.0, 1e-10))
-    results.append(_bounded("leray_gradient_annihilation", worst_grad, 0.0, 1e-10))
+    results.append(ProbeResult("leray_idempotence", worst_idem, 0.0, 1e-10))
+    results.append(ProbeResult("leray_gradient_annihilation", worst_grad, 0.0, 1e-10))
 
     # duality gap Richardson order across 16/32/64.  A single field pair sits
     # too close to the pre-asymptotic regime at 16^2 for a clean slope, so the
@@ -485,10 +445,8 @@ def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:
         g = build_grid(2, (cells, cells), (1.0, 1.0))
         gaps.append(float(np.mean([duality_gap(g, seed + k) for k in range(8)])))
         spacings.append(g.spacings[0])
-    results.append(
-        _bounded("duality_order", richardson_order(gaps, spacings), 1.7, 2.3,
-                 detail=f"gaps={gaps}")
-    )
+    results.append(ProbeResult("duality_order", richardson_order(gaps, spacings), 1.7, 2.3,
+                               detail=f"gaps={gaps}"))
 
     # interpolation-constant stability across refinement; both ratios read
     # each field, so it is drawn once
@@ -503,10 +461,9 @@ def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:
         maxima["gn_l4"].append(worst_l4)
         maxima["gn_linf"].append(worst_linf)
     for label, per_grid in maxima.items():
-        results.append(
-            _bounded(f"{label}_refinement_stability", max(per_grid) / min(per_grid), 1.0, 2.0,
-                     detail=f"maxima={per_grid}")
-        )
+        results.append(ProbeResult(f"{label}_refinement_stability",
+                                   max(per_grid) / min(per_grid), 1.0, 2.0,
+                                   detail=f"maxima={per_grid}"))
 
     per_grid = []
     for cells in (16, 64):
@@ -516,10 +473,8 @@ def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:
             for k in range(20)
         ]
         per_grid.append(max(batch))
-    results.append(
-        _bounded("remark_bound_stability", max(per_grid) / min(per_grid), 1.0, 2.0,
-                 detail=f"maxima={per_grid}")
-    )
+    results.append(ProbeResult("remark_bound_stability", max(per_grid) / min(per_grid),
+                               1.0, 2.0, detail=f"maxima={per_grid}"))
 
     # Lipschitz constant estimate across an amplitude sweep; each seed's
     # fields are drawn once and scaled to one amplitude at a time
@@ -530,15 +485,7 @@ def probe_suite(seed: int = 0, cfg=None) -> list[ProbeResult]:
         seconds = random_probe_states(g32, [seed + 5 * k + 50000 for k in ks], amplitudes)
         estimates = [max(e, *lipschitz_probe_F(y1s, y2s))
                      for e, y1s, y2s in zip(estimates, firsts, seconds)]
-    results.append(
-        _bounded("lipschitz_amplitude_stability", max(estimates) / min(estimates), 1.0, 3.0,
-                 detail=f"estimates={estimates}")
-    )
-
-    if cfg is not None:
-        windows = (0.015625, 0.03125, 0.0625)
-        slope, ratios = contraction_slopes(cfg, windows)
-        results.append(
-            _bounded("contraction_slope", slope, 0.15, 0.35, detail=f"ratios={ratios}")
-        )
+    results.append(ProbeResult("lipschitz_amplitude_stability",
+                               max(estimates) / min(estimates), 1.0, 3.0,
+                               detail=f"estimates={estimates}"))
     return results

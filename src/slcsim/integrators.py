@@ -1,4 +1,5 @@
-"""Time integration: semi-implicit Euler-Maruyama and windowed Picard iteration.
+"""Time integration: semi-implicit Euler-Maruyama, windowed Picard iteration
+and the Picard map's contraction probe.
 
 Both schemes discretize one equation on one Brownian realization through
 one step body, ``_step``, with the drift of :func:`slcsim.operators.drift`:
@@ -6,14 +7,17 @@ one step body, ``_step``, with the drift of :func:`slcsim.operators.drift`:
     y+ = S(dt) [ base + theta * dt * (-F - L)(at) + theta * G(at) dW ]
 
 EM steps with base = at = y, theta = 1 and the implicit Euler velocity
-solve.  A Picard sweep is the exact recursion u_{j+1} = _step(u_j, prev_j)
-with the exact velocity semigroup, which reproduces left-endpoint
-Riemann/Ito convolution sums against the semigroup without the O(N^2) cost
-of assembling them directly.  Its theta_j = theta(|prev|_{X_t} / radius)
+solve; S(dt) alone, ``_linear_step``, gives Picard's zeroth iterate.  A
+Picard sweep is the exact recursion u_{j+1} = _step(u_j, prev_j) with the
+exact velocity semigroup, which reproduces left-endpoint Riemann/Ito
+convolution sums against the semigroup without the O(N^2) cost of
+assembling them directly.  Its theta_j = theta(|prev|_{X_t} / radius)
 reads the previous iterate's running path norm ``_xt_norms``, which on the
 node differences of two iterates is also the sweep distance.  Sweep m fixes
 node m for good, so each sweep starts after the nodes earlier sweeps fixed,
 and it overwrites the iterate node by node: one iterate is kept alive.
+``contraction_slopes`` fits how the sweep ratios scale with the window
+length, and ``contraction_probe`` reports that fit as a probe result.
 
 Each scheme is a stream of nodes, one EM step per Brownian increment or the
 nodes of each solved Picard window in order.  ``run_trajectory`` takes either
@@ -32,7 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SimConfig, _step_count
-from .diagnostics import max_principle_gap, penalty_energy, phi_rate, psi_functional
+from .diagnostics import ProbeResult, max_principle_gap, penalty_energy, phi_rate
+from .diagnostics import psi_functional, richardson_order
+from .errors import DomainError
 from .fields import State
 from .grid import Grid
 from .noise import BrownianPath, sample_path
@@ -55,6 +61,8 @@ __all__ = [
     "initial_state",
     "em_step",
     "picard_solve",
+    "contraction_slopes",
+    "contraction_probe",
     "run_trajectory",
     "run_ensemble",
 ]
@@ -145,13 +153,21 @@ def _step(
                    velocity=not cfg.freeze_velocity, transport=cfg.enable_transport,
                    penalty=cfg.enable_penalty)
     d_star = base.d + theta * dt * dd + theta * director_noise_increment(cache, at.d, dw2)
-    d_new = semigroup_director(grid, d_star, dt) if cfg.director_diffusion else d_star
-    if cfg.freeze_velocity:
-        v_new = base.v
-    else:
-        v_star = base.v + theta * dt * dv + theta * velocity_noise_increment(cache, at.v, dw1)
-        v_new = velocity_solve(grid, v_star, dt)
+    v_star = base.v if cfg.freeze_velocity else (
+        base.v + theta * dt * dv + theta * velocity_noise_increment(cache, at.v, dw1))
+    v_new, d_new = _linear_step(grid, v_star, d_star, dt, cfg, velocity_solve)
     return State(grid=grid, v=v_new, d=d_new, t=at.t + dt)
+
+
+def _linear_step(grid: Grid, v: np.ndarray, d: np.ndarray, dt: float, cfg: SimConfig,
+                 velocity_solve) -> tuple[np.ndarray, np.ndarray]:
+    """The linear half of a step: ``velocity_solve`` on v unless the velocity
+    is frozen, and the director semigroup on d when the director diffuses."""
+    if not cfg.freeze_velocity:
+        v = velocity_solve(grid, v, dt)
+    if cfg.director_diffusion:
+        d = semigroup_director(grid, d, dt)
+    return v, d
 
 
 def em_step(
@@ -201,10 +217,6 @@ def _ve_norms(state: State) -> tuple[float, float]:
     return state.summary["v_norm"], state.summary["e_norm"]
 
 
-def _is_finite(state: State) -> bool:
-    return bool(np.all(np.isfinite(state.v)) and np.all(np.isfinite(state.d)))
-
-
 def _non_finite(state: State) -> tuple[str, ...]:
     """The fields of ``state`` that are not finite or, where both are, the
     entries of its summary that are not: a field can be finite while one of
@@ -232,7 +244,7 @@ def picard_solve(
     A sweep is causal: node j+1 reads nodes <= j of the current and the
     previous iterate, so after sweep m nodes 0..m are final and every later
     sweep would reproduce them bit for bit.  Each sweep therefore starts
-    after the finite final prefix, whose differences are exactly zero and
+    after the healthy final prefix, whose differences are exactly zero and
     whose summaries it reuses.  The iterate is overwritten node by node, so
     one iterate stays alive, and every node keeps its ``summary``.
     """
@@ -244,18 +256,16 @@ def picard_solve(
     # zeroth iterate: free linear evolution of y0
     nodes: list[State] = [y0]
     for j in range(n):
-        v, d = nodes[-1].v, nodes[-1].d
-        if not cfg.freeze_velocity:
-            v = semigroup_velocity_exact(grid, v, dt)
-        if cfg.director_diffusion:
-            d = semigroup_director(grid, d, dt)
+        v, d = _linear_step(grid, nodes[-1].v, nodes[-1].d, dt, cfg, semigroup_velocity_exact)
         nodes.append(State(grid, v, d, y0.t + (j + 1) * dt))
 
-    # nodes[:fixed] are final and finite: no sweep recomputes them, and their
-    # differences, exactly zero, stay out of the distance.  A non-finite node,
-    # y0 included, never joins, as its NaN difference must reach the distance;
+    # nodes[:fixed] are final and healthy (``_non_finite`` is empty): no sweep
+    # recomputes them, and their differences, exactly zero, stay out of the
+    # distance.  A node that is not healthy, y0 included, never joins: a NaN
+    # difference must reach the distance, and a final node whose summary
+    # overflowed is recomputed bit for bit, so its difference is exactly zero.
     # fixed stops at n, so every sweep recomputes at least the last node.
-    fixed = 1 if _is_finite(y0) else 0
+    fixed = 0 if _non_finite(y0) else 1
     distances: list[float] = []
     converged = False
     min_theta = 1.0
@@ -272,7 +282,7 @@ def picard_solve(
             prev = nodes[j + 1]  # read here and by the next step, then dropped
             diffs.append(_ve_norms(State(grid, node.v - prev.v, node.d - prev.d, node.t)))
             nodes[j + 1] = base = node
-        if 0 < fixed < n and _is_finite(nodes[fixed]):
+        if 0 < fixed < n and not _non_finite(nodes[fixed]):
             fixed += 1
 
         dist = float(_xt_norms(diffs, dt)[-1])
@@ -290,6 +300,46 @@ def picard_solve(
         min_theta=min_theta,
     )
     return nodes, stats
+
+
+# ---------------------------------------------------------------------------
+# contraction of the Picard map
+# ---------------------------------------------------------------------------
+
+def contraction_slopes(cfg: SimConfig, windows) -> tuple[float, list[float]]:
+    """Picard contraction factor versus window length, on the first window.
+
+    Returns the log-log slope of the per-window mean contraction ratio
+    against the integrated window length (whole steps of the refined dt),
+    together with the measured ratios.  The step size is refined so even the
+    shortest window holds >= 64 steps; otherwise quadrature error masks the
+    continuum scaling of the factor.
+    """
+    grid = cfg.grid()
+    cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)
+    y0 = initial_state(cfg, grid)
+    dt = min(cfg.dt, min(windows) / 64.0)
+    ratios = []
+    lengths = []
+    for w in windows:
+        n_win = int(round(w / dt))
+        lengths.append(n_win * dt)
+        path = sample_path(cfg.seed, 0, dt, n_win, cfg.mode_count)
+        _, stats = picard_solve(cache, cfg, y0, path, 0, n_win)
+        ds = stats.distances
+        usable = [b / a for a, b in zip(ds, ds[1:]) if a > 0.0 and b > 1e-13]
+        if not usable:
+            raise DomainError("window converged too fast to measure a contraction ratio")
+        ratios.append(float(np.exp(np.mean(np.log(usable)))))
+    slope = richardson_order(ratios, lengths)
+    return slope, ratios
+
+
+def contraction_probe(cfg: SimConfig) -> ProbeResult:
+    """``contraction_slopes`` over windows of 2^-6, 2^-5 and 2^-4, banded to
+    [0.15, 0.35] as calibrated on the default 64^2 config."""
+    slope, ratios = contraction_slopes(cfg, (0.015625, 0.03125, 0.0625))
+    return ProbeResult("contraction_slope", slope, 0.15, 0.35, detail=f"ratios={ratios}")
 
 
 # ---------------------------------------------------------------------------

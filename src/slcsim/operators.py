@@ -240,19 +240,22 @@ class NoiseCoefficientSpec:
     clip: float = 1.0
 
     def __post_init__(self) -> None:
+        errors = []
         if self.kind not in ("additive_trace_class", "linear_multiplicative"):
-            raise ConfigError(f"unknown noise kind {self.kind!r}")
+            errors.append(f"unknown noise kind {self.kind!r}")
         if self.decay_exponent <= 1.0:
-            raise ConfigError(
+            errors.append(
                 f"decay_exponent must exceed 1 (got {self.decay_exponent}): the "
                 "Hilbert-Schmidt mass sigma^2 sum (1+mu_j)^(1-2s) is not summable"
             )
         if self.sigma < 0.0:
-            raise ConfigError("sigma must be nonnegative")
+            errors.append("sigma must be nonnegative")
         if self.mode_count < 1:
-            raise ConfigError("mode_count must be at least 1")
+            errors.append("mode_count must be at least 1")
         if self.clip <= 0.0:
-            raise ConfigError("clip must be positive")
+            errors.append("clip must be positive")
+        if errors:
+            raise ConfigError("; ".join(errors))
 
     def gain(self, v_l2: float) -> float:
         if self.kind == "additive_trace_class":

@@ -22,7 +22,6 @@ import pytest
 from slcsim.cli import main
 from slcsim.config import SimConfig
 from slcsim.diagnostics import (
-    contraction_slopes,
     ensemble_energy_bound,
     max_principle_gap,
     probe_suite,
@@ -36,7 +35,14 @@ from slcsim.grid import (
     inverse_sine_transform,
     sine_transform,
 )
-from slcsim.integrators import em_step, initial_state, picard_solve, run_ensemble, run_trajectory
+from slcsim.integrators import (
+    contraction_slopes,
+    em_step,
+    initial_state,
+    picard_solve,
+    run_ensemble,
+    run_trajectory,
+)
 from slcsim.noise import refine, sample_path
 from slcsim.operators import OperatorCache
 

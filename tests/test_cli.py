@@ -124,6 +124,9 @@ def test_validate_aggregates_constraint_violations():
          ["horizon/dt must be an integer >= 1, got 62.5",
           "picard window/dt must be an integer >= 1, got 62.5"]),
         (dict(horizon=5e-4), ["horizon/dt must be an integer >= 1, got 0.5"]),
+        # the noise spec reports each of its violations, not only the first
+        (dict(noise_kind="white", sigma=-0.1, clip=0.0),
+         ["unknown noise kind 'white'", "sigma must be nonnegative", "clip must be positive"]),
     ]
     for overrides, messages in cases:
         with pytest.raises(ConfigError) as err:
@@ -514,6 +517,26 @@ def test_probes_verb_exits_four_when_a_probe_fails(tmp_path, monkeypatch, capsys
     assert "FAIL  b1_skew_symmetry" in capsys.readouterr().out
 
 
+def test_probes_verb_appends_the_contraction_probe_unless_skipped(tmp_path, monkeypatch):
+    # both stubbed: what runs, on which config, and where its result goes
+    seen = []
+
+    def contraction(cfg):
+        seen.append(cfg.seed)
+        return ProbeResult("contraction_slope", 0.25, 0.15, 0.35)
+
+    monkeypatch.setattr(slcsim.cli, "probe_suite",
+                        lambda seed: [ProbeResult("b1_skew_symmetry", 0.0, 0.0, 1e-11)])
+    monkeypatch.setattr(slcsim.cli, "contraction_probe", contraction)
+    for flag, names in (("--seed=7", ["b1_skew_symmetry", "contraction_slope"]),
+                        ("--skip-contraction", ["b1_skew_symmetry"])):
+        out = tmp_path / flag.strip("-")
+        assert main(["probes", flag, "--out", str(out)]) == 0
+        report = json.loads((out / "probes_report.json").read_text())
+        assert [p["name"] for p in report["probes"]] == names
+    assert seen == [7]
+
+
 UNSTABLE = """
 [grid]
 cells = 16 16
@@ -792,7 +815,7 @@ def test_manifest_status_records_how_the_verb_ended(tmp_path, monkeypatch, capsy
         return [ProbeResult("b1_skew_symmetry", 2.0, 0.0, 1.0)]
 
     monkeypatch.setattr(slcsim.cli, "probe_suite", failing)
-    assert main(["probes", "--out", str(tmp_path / "failed")]) == 4
+    assert main(["probes", "--skip-contraction", "--out", str(tmp_path / "failed")]) == 4
     assert seen == ["running"]
     assert _status(tmp_path / "failed") == "complete"
 

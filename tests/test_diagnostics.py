@@ -33,10 +33,9 @@ from slcsim.grid import (
     inverse_cosine_transform,
     sine_transform,
 )
-from slcsim.integrators import initial_state, run_trajectory
+from slcsim.integrators import contraction_slopes, initial_state, run_trajectory
 from slcsim.operators import b2, drift, leray_project, m_term
 from slcsim.diagnostics import (
-    contraction_slopes,
     duality_gap,
     ensemble_energy_bound,
     gn_l4_ratio,
@@ -579,4 +578,5 @@ def test_probe_suite_passes_and_carries_bounds():
     assert {"b1_skew_symmetry", "duality_order", "lipschitz_amplitude_stability"} <= names
     for r in results:
         assert r.low <= r.high and np.isfinite(r.value)
+        assert type(r.value) is float, r.name   # built from Python floats, no NumPy scalar
 

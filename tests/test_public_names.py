@@ -20,6 +20,11 @@ both are exempt.
 No top-level name is defined in two modules of the package, so a helper
 is written once: a function, a class or an assignment target, dunders
 such as ``__all__`` aside.
+
+No function of the package imports from the package, so every dependency
+between its modules is a top-level import, and an import cycle cannot hide
+in a function body.  A deferred import of another package, such as
+``concurrent.futures`` or ``scipy.fft``, stays allowed.
 """
 
 from __future__ import annotations
@@ -168,3 +173,27 @@ def test_no_top_level_name_is_defined_in_two_modules():
         for name in _top_level_definitions(tree):
             owners.setdefault(name, []).append(module)
     assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+
+
+def _imports_from_the_package(fn: ast.FunctionDef) -> list[str]:
+    """The package modules an import inside ``fn`` names: a relative import,
+    or an absolute one of ``slcsim``."""
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "slcsim":
+                found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "slcsim"]
+    return found
+
+
+def test_no_function_imports_from_the_package():
+    found = [
+        f"{module}.{fn.name}: {name}"
+        for module, tree in _trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name in _imports_from_the_package(fn)
+    ]
+    assert found == []
