@@ -167,15 +167,11 @@ def remark_ratio(grid: Grid, d: np.ndarray) -> float:
     return h_norm(grid, d, 2, "neumann") ** 2 / denom
 
 
-def _component_gradients(grid: Grid, u: np.ndarray) -> np.ndarray:
-    comps = u.reshape(-1, *grid.cells)
-    return np.concatenate([centered_gradient(grid, c, "dirichlet") for c in comps])
-
-
 def gn_l4_ratio(grid: Grid, u: np.ndarray) -> float:
-    """|u|_{L4} over |u|^{1-a} |grad u|^a with a = n/4, for u vanishing on the walls."""
+    """|u|_{L4} over |u|^{1-a} |grad u|^a with a = n/4, for a scalar u
+    vanishing on the walls."""
     a = grid.n_dim / 4.0
-    grad = _component_gradients(grid, u)
+    grad = centered_gradient(grid, u, "dirichlet")
     denom = l2_norm(grid, u) ** (1.0 - a) * l2_norm(grid, grad) ** a
     if denom == 0.0:
         raise DomainError("degenerate field for the interpolation probe")
@@ -183,9 +179,10 @@ def gn_l4_ratio(grid: Grid, u: np.ndarray) -> float:
 
 
 def gn_linf_ratio(grid: Grid, u: np.ndarray) -> float:
-    """|u|_inf over |u|_{L4}^{1-a} |grad u|_{L4}^a with a = n/4, for u vanishing on the walls."""
+    """|u|_inf over |u|_{L4}^{1-a} |grad u|_{L4}^a with a = n/4, for a scalar
+    u vanishing on the walls."""
     a = grid.n_dim / 4.0
-    grad = _component_gradients(grid, u)
+    grad = centered_gradient(grid, u, "dirichlet")
     denom = l4_norm(grid, u) ** (1.0 - a) * l4_norm(grid, grad) ** a
     if denom == 0.0:
         raise DomainError("degenerate field for the interpolation probe")
@@ -201,9 +198,10 @@ _WAVES = {"dirichlet": np.sin, "neumann": np.cos}
 # Bytes of series terms materialized at once: the first axis is cut into slabs
 # this size, so a call's temporaries stay O(grid) (every probe grid is one slab).
 _SLAB_BYTES = 4 << 20
-# Seeds the probe suite's 100-field loops draw and check as one batch: enough
-# to spread the per-call cost of the operators over 32^2 fields, few enough
-# that the suite's peak RSS grows by about 1.5 MiB (0.4 MiB per seed).
+# Seeds the probe suite's 32^2 loops (skew forms, projection, Lipschitz) draw
+# and check as one batch: enough to spread the per-call cost of the operators
+# over 32^2 fields, few enough that the suite's peak RSS grows by about
+# 1.5 MiB (0.4 MiB per seed).
 _SEEDS_PER_BATCH = 4
 
 
@@ -421,18 +419,18 @@ def probe_suite(seed: int = 0) -> list[ProbeResult]:
     for name, value in worst.items():
         results.append(ProbeResult(name, value, 0.0, 1e-11))
 
-    # projection identities
-    worst_idem = 0.0
-    worst_grad = 0.0
-    for k in range(20):
-        F = random_smooth_vector(g32, seed + 1000 + k, 2)
+    # projection identities on 20 random smooth fields
+    worst_idem = worst_grad = 0.0
+    for ks in _chunks(20):
+        F = _smooth_vectors(g32, [seed + 1000 + k for k in ks], 2)
         once = leray_project(g32, F)
         twice = leray_project(g32, once)
-        scale = l2_norm(g32, F) + 1e-300
-        worst_idem = max(worst_idem, l2_norm(g32, twice - once) / scale)
-        p = random_smooth_scalar(g32, seed + 2000 + k, bc_kind="neumann")
+        idem = _l2_norms(g32, twice - once) / (_l2_norms(g32, F) + 1e-300)
+        p = _series(g32, [seed + 2000 + k for k in ks], "neumann", 1.0)
         gp = centered_gradient(g32, p, "neumann")
-        worst_grad = max(worst_grad, l2_norm(g32, leray_project(g32, gp)) / (l2_norm(g32, gp) + 1e-300))
+        grad = _l2_norms(g32, leray_project(g32, gp)) / (_l2_norms(g32, gp) + 1e-300)
+        worst_idem = max(worst_idem, *idem.tolist())
+        worst_grad = max(worst_grad, *grad.tolist())
     results.append(ProbeResult("leray_idempotence", worst_idem, 0.0, 1e-10))
     results.append(ProbeResult("leray_gradient_annihilation", worst_grad, 0.0, 1e-10))
 
@@ -448,33 +446,23 @@ def probe_suite(seed: int = 0) -> list[ProbeResult]:
     results.append(ProbeResult("duality_order", richardson_order(gaps, spacings), 1.7, 2.3,
                                detail=f"gaps={gaps}"))
 
-    # interpolation-constant stability across refinement; both ratios read
-    # each field, so it is drawn once
-    maxima = {"gn_l4": [], "gn_linf": []}
+    # interpolation and second-derivative constants across refinement; each
+    # scalar and director is drawn once for the ratios that read it
+    maxima = {"gn_l4_refinement_stability": [], "gn_linf_refinement_stability": [],
+              "remark_bound_stability": []}
     for cells in (16, 64):
         g = build_grid(2, (cells, cells), (1.0, 1.0))
-        worst_l4 = worst_linf = 0.0
+        worst = [0.0] * len(maxima)
         for k in range(20):
             u = random_smooth_scalar(g, seed + 31 * k)
-            worst_l4 = max(worst_l4, gn_l4_ratio(g, u))
-            worst_linf = max(worst_linf, gn_linf_ratio(g, u))
-        maxima["gn_l4"].append(worst_l4)
-        maxima["gn_linf"].append(worst_linf)
-    for label, per_grid in maxima.items():
-        results.append(ProbeResult(f"{label}_refinement_stability",
-                                   max(per_grid) / min(per_grid), 1.0, 2.0,
+            d = random_smooth_vector(g, seed + 77 * k, 3, bc_kind="neumann")
+            ratios = (gn_l4_ratio(g, u), gn_linf_ratio(g, u), remark_ratio(g, d))
+            worst = [max(w, r) for w, r in zip(worst, ratios)]
+        for per_grid, w in zip(maxima.values(), worst):
+            per_grid.append(w)
+    for name, per_grid in maxima.items():
+        results.append(ProbeResult(name, max(per_grid) / min(per_grid), 1.0, 2.0,
                                    detail=f"maxima={per_grid}"))
-
-    per_grid = []
-    for cells in (16, 64):
-        g = build_grid(2, (cells, cells), (1.0, 1.0))
-        batch = [
-            remark_ratio(g, random_smooth_vector(g, seed + 77 * k, 3, bc_kind="neumann"))
-            for k in range(20)
-        ]
-        per_grid.append(max(batch))
-    results.append(ProbeResult("remark_bound_stability", max(per_grid) / min(per_grid),
-                               1.0, 2.0, detail=f"maxima={per_grid}"))
 
     # Lipschitz constant estimate across an amplitude sweep; each seed's
     # fields are drawn once and scaled to one amplitude at a time

@@ -36,7 +36,7 @@ from slcsim.grid import (
     sine_transform,
 )
 from slcsim.integrators import (
-    contraction_slopes,
+    contraction_probe,
     em_step,
     initial_state,
     picard_solve,
@@ -130,9 +130,9 @@ def test_criterion_4_stratonovich_correction_scales_linearly():
 
 def test_criterion_5_fixed_point_machinery():
     """Picard converges below tolerance within the iteration budget on a
-    2^-4 window of the default configuration; the contraction ratio scales
-    with the window length at the expected rate; a slack truncation radius
-    is exactly inert."""
+    2^-4 window of the default configuration; the drift's contraction
+    ratio, read by ``contraction_probe``, scales with the window length at
+    the expected rate; a slack truncation radius is exactly inert."""
     cfg = SimConfig(dt=2.0**-10)
     grid = cfg.grid()
     cache = OperatorCache(grid, cfg.noise_spec(), cfg.magnetic_spec(), cfg.eps)
@@ -150,8 +150,8 @@ def test_criterion_5_fixed_point_machinery():
     v_b = spectral_summary(nodes_w[-1])["v_norm"]
     assert abs(v_a - v_b) <= cfg.tolerance
 
-    slope, ratios = contraction_slopes(SimConfig(), (0.015625, 0.03125, 0.0625))
-    assert 0.15 <= slope <= 0.35, f"slope {slope}, ratios {ratios}"
+    probe = contraction_probe(SimConfig())
+    assert 0.15 <= probe.value <= 0.35, f"slope {probe.value}, {probe.detail}"
 
 
 def test_criterion_6_scheme_cross_oracle():

@@ -121,7 +121,7 @@ def test_batched_probe_states_and_lipschitz_ratios_match_each_item(grid):
 
 
 def test_probe_suite_does_not_depend_on_the_batch_size(monkeypatch):
-    """One seed per batch runs every 100-field loop one field at a time; an
+    """One seed per batch runs every 32^2 loop one field at a time; an
     uneven size leaves a short last batch.  The report is the same."""
     reports = []
     for size in (1, diagnostics._SEEDS_PER_BATCH, 7):

@@ -570,6 +570,16 @@ def test_contraction_slope_fits_the_integrated_window_lengths():
     assert slope == richardson_order(ratios, (67 * cfg.dt, 133 * cfg.dt))
 
 
+def test_contraction_slope_does_not_depend_on_the_seed():
+    """The fit runs on zero increments, so it reads the drift's contraction
+    alone; a sampled path read 0.516 at seed 0 and 0.349 at seed 3 here."""
+    fits = [contraction_slopes(SimConfig(n_dim=2, cells=(16, 16), lengths=(1.0, 1.0),
+                                         horizon=0.005, mode_count=8, seed=seed),
+                               (2.0**-6, 2.0**-5))
+            for seed in (0, 3)]
+    assert fits[0] == fits[1]
+
+
 def test_probe_suite_passes_and_carries_bounds():
     results = probe_suite(seed=0)
     failed = [r for r in results if not r.passed]
@@ -580,3 +590,46 @@ def test_probe_suite_passes_and_carries_bounds():
         assert r.low <= r.high and np.isfinite(r.value)
         assert type(r.value) is float, r.name   # built from Python floats, no NumPy scalar
 
+
+def test_probe_suite_holds_every_band_at_seed_1_and_matches_its_per_field_loops():
+    """The nine bands that criteria 1, 2 and 8 assert at seed 0, as literals
+    at seed 1, so a change that breaks only other seeds shows.  The batched
+    projection identities and the one refinement loop give, bit for bit,
+    the values of the same probes taken one field and one ratio at a time."""
+    seed = 1
+    results = {r.name: r for r in probe_suite(seed=seed)}
+    bands = {
+        "b1_skew_symmetry": (0.0, 1e-11), "b2_skew_symmetry": (0.0, 1e-11),
+        "leray_idempotence": (0.0, 1e-10), "leray_gradient_annihilation": (0.0, 1e-10),
+        "duality_order": (1.7, 2.3),
+        "gn_l4_refinement_stability": (1.0, 2.0), "gn_linf_refinement_stability": (1.0, 2.0),
+        "remark_bound_stability": (1.0, 2.0), "lipschitz_amplitude_stability": (1.0, 3.0),
+    }
+    assert list(results) == list(bands)
+    for name, (low, high) in bands.items():
+        assert low <= results[name].value <= high, (name, results[name].value)
+
+    worst_idem = worst_grad = 0.0
+    for k in range(20):
+        F = random_smooth_vector(G32, seed + 1000 + k, 2)
+        once = leray_project(G32, F)
+        twice = leray_project(G32, once)
+        worst_idem = max(worst_idem, l2_norm(G32, twice - once) / (l2_norm(G32, F) + 1e-300))
+        p = random_smooth_scalar(G32, seed + 2000 + k, bc_kind="neumann")
+        gp = centered_gradient(G32, p, "neumann")
+        worst_grad = max(worst_grad,
+                         l2_norm(G32, leray_project(G32, gp)) / (l2_norm(G32, gp) + 1e-300))
+    assert results["leray_idempotence"].value == worst_idem
+    assert results["leray_gradient_annihilation"].value == worst_grad
+
+    maxima = {"gn_l4_refinement_stability": [], "gn_linf_refinement_stability": [],
+              "remark_bound_stability": []}
+    for g in (G16, G64):
+        us = [random_smooth_scalar(g, seed + 31 * k) for k in range(20)]
+        ds = [random_smooth_vector(g, seed + 77 * k, 3, bc_kind="neumann") for k in range(20)]
+        maxima["gn_l4_refinement_stability"].append(max(gn_l4_ratio(g, u) for u in us))
+        maxima["gn_linf_refinement_stability"].append(max(gn_linf_ratio(g, u) for u in us))
+        maxima["remark_bound_stability"].append(max(remark_ratio(g, d) for d in ds))
+    for name, per_grid in maxima.items():
+        assert results[name].detail == f"maxima={per_grid}"
+        assert results[name].value == max(per_grid) / min(per_grid)

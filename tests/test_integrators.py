@@ -8,11 +8,13 @@ exact semigroups and an engaged cutoff, its fixed point bitwise against the
 exponential-Euler recursion it terminates at, and the streamed sweep bitwise
 against a full-sweep oracle kept here, with tracemalloc bounds on the
 iterates it holds.  Picard windows are checked for contraction,
-determinism, and cutoff inertness.  EM is checked to commute with a
-director rotation about the magnetic field's axis, with a control rotation
-that does not commute, and with the reflection of either wall pair, with
-controls that drop the velocity or the noise signs, and to converge at
-strong order 1/2 to the closed-form Stratonovich rotation of the director.
+determinism, cutoff inertness, and the gluing of truncated solutions up to
+the node where the path norm crosses the radius.  EM is checked to commute
+with a director rotation about the magnetic field's axis, with a control
+rotation that does not commute, and with the reflection of either wall
+pair, with controls that drop the velocity or the noise signs, and to
+converge at strong order 1/2 to the closed-form Stratonovich rotation of
+the director.
 Both schemes are checked to be adapted, Picard up to its window's
 tolerance, and EM without noise to dissipate what the energy law behind
 2D nonexplosion prescribes.
@@ -466,6 +468,39 @@ def test_truncation_is_inert_while_cutoff_never_engages():
     assert stats_c.min_theta < 1.0
     gap = max(float(np.max(np.abs(a.d - c.d))) for a, c in zip(nodes_a, nodes_c))
     assert gap > 1e-3
+
+
+def test_truncated_solutions_glue_until_the_path_norm_crosses_the_radius():
+    """The paper's maximal solution glues fixed points of the equation
+    truncated at N: they agree with the untruncated one until the path norm
+    from t = 0 crosses N.  On this window the norm rises from 21.08 at node
+    0 to 26.63 at node 32.  At N, its value at node 16, theta first drops
+    below 1 at node 17, so nodes 0..17 keep every bit and node 18 moves; at
+    2N nothing moves.  A knee moved to 2N (3 - x/N) or to 0 (1 - x/N) fails."""
+    cfg = _cfg(scheme="picard", dt=2.0**-10, horizon=2.0**-5, window=2.0**-5,
+               velocity_amplitude=4.0)
+    cache = _cache(cfg)
+    y0 = initial_state(cfg, cache.grid)
+    path = sample_path(0, 0, cfg.dt, 32, cfg.mode_count)
+
+    free, stats_free = picard_solve(cache, cfg, y0, path, 0, 32)
+    assert stats_free.converged and stats_free.min_theta == 1.0
+    xt = integrators._xt_norms([integrators._ve_norms(s) for s in free], cfg.dt)
+    assert (xt[0], xt[16], xt[32]) == pytest.approx((21.080, 25.533, 26.627), abs=5e-4)
+
+    n = float(xt[16])
+    cut, stats_n = picard_solve(cache, dataclasses.replace(cfg, truncation_radius=n),
+                                y0, path, 0, 32)
+    wide, stats_2n = picard_solve(cache, dataclasses.replace(cfg, truncation_radius=2.0 * n),
+                                  y0, path, 0, 32)
+    assert stats_n.converged and stats_2n.converged
+    assert stats_n.iterations == stats_2n.iterations == stats_free.iterations
+    assert stats_n.min_theta == pytest.approx(0.95598, abs=1e-5)
+    assert stats_2n.min_theta == 1.0
+    same = [np.array_equal(a.v, b.v) and np.array_equal(a.d, b.d) for a, b in zip(free, cut)]
+    assert same.index(False) == 18
+    for a, b in zip(free, wide):
+        assert np.array_equal(a.v, b.v) and np.array_equal(a.d, b.d)
 
 
 def test_picard_respects_frozen_velocity():
